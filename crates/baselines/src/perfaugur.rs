@@ -83,20 +83,19 @@ pub fn detect(dataset: &Dataset, config: &PerfAugurConfig) -> Option<ScoredWindo
     }
     let global_median = stats::median(values);
     let mut best: Option<(usize, usize, f64)> = None;
-    let mut window: Vec<f64> = Vec::with_capacity(max_len);
+    let mut window = stats::SortedWindow::with_capacity(max_len);
     for start in 0..n.saturating_sub(config.min_window) {
         window.clear();
-        let longest = max_len.min(n - start);
-        for len in 1..=longest {
-            let v = values[start + len - 1];
-            let pos = window.binary_search_by(|w| w.total_cmp(&v)).unwrap_or_else(|e| e);
-            window.insert(pos, v);
+        let grown = values.iter().skip(start).take(max_len);
+        for (len, &v) in (1usize..).zip(grown) {
+            window.insert(v);
             if len < config.min_window {
                 continue;
             }
-            let shift = (stats::quantile_sorted(&window, 0.5) - global_median).abs();
+            let sorted = window.as_slice();
+            let shift = (stats::quantile_sorted(sorted, 0.5) - global_median).abs();
             let spread =
-                stats::quantile_sorted(&window, 0.95) - stats::quantile_sorted(&window, 0.05);
+                stats::quantile_sorted(sorted, 0.95) - stats::quantile_sorted(sorted, 0.05);
             let score = shift * (len as f64).sqrt() / (1.0 + spread / shift.max(1.0));
             if best.map(|(_, _, s)| score > s).unwrap_or(true) {
                 best = Some((start, len, score));

@@ -4,10 +4,10 @@
 //! telemetry points with DBSCAN (`minPts = 3`, `ε = max(L_k) / 4` from the
 //! k-dist list) and flags small clusters as candidate anomalies. This is a
 //! faithful, quadratic-time implementation — the detector runs on a few
-//! hundred one-second samples, where O(n²) neighbour queries are cheap and
-//! an index would be noise.
+//! hundred one-second samples, where reading ε-neighbourhoods off one
+//! pairwise distance matrix is cheap and an index would be noise.
 
-use crate::distance::{euclidean, Point};
+use crate::distance::{PairwiseDistances, Point};
 
 /// Cluster assignment for one input point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +51,9 @@ impl Clustering {
     /// Cluster sizes indexed by cluster id.
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.n_clusters];
-        for label in &self.labels {
-            if let Some(id) = label.cluster() {
-                sizes[id] += 1;
+        for id in self.labels.iter().filter_map(|label| label.cluster()) {
+            if let Some(size) = sizes.get_mut(id) {
+                *size += 1;
             }
         }
         sizes
@@ -62,60 +62,82 @@ impl Clustering {
 
 /// Run DBSCAN over `points` with radius `eps` and density threshold
 /// `min_pts` (a point is *core* when at least `min_pts` points — including
-/// itself — lie within `eps`).
+/// itself — lie within `eps`). Computes the pairwise distances once; see
+/// [`dbscan_precomputed`].
 pub fn dbscan(points: &[Point], eps: f64, min_pts: usize) -> Clustering {
-    let n = points.len();
-    const UNVISITED: usize = usize::MAX;
-    const NOISE: usize = usize::MAX - 1;
-    let mut assignment = vec![UNVISITED; n];
-    let mut n_clusters = 0usize;
+    dbscan_precomputed(&PairwiseDistances::new(points), eps, min_pts)
+}
 
+/// [`dbscan`] over distances computed beforehand, for callers that also
+/// read them for something else (the §7 detector's k-dist list). A
+/// point's ε-neighbourhood is every `j` with `d(i, j) <= eps`, in index
+/// order, so clusters and their ids are those of a per-query scan.
+pub fn dbscan_precomputed(distances: &PairwiseDistances, eps: f64, min_pts: usize) -> Clustering {
+    let n = distances.len();
     let neighbours = |i: usize| -> Vec<usize> {
-        (0..n).filter(|&j| euclidean(&points[i], &points[j]) <= eps).collect()
+        let within = distances.distances_from(i).enumerate().filter(|&(_, d)| d <= eps);
+        within.map(|(j, _)| j).collect()
     };
-
+    let mut assignment = vec![Assignment::Unvisited; n];
+    let mut n_clusters = 0usize;
     for i in 0..n {
-        if assignment[i] != UNVISITED {
+        if assignment.get(i) != Some(&Assignment::Unvisited) {
             continue;
         }
         let seeds = neighbours(i);
         if seeds.len() < min_pts {
-            assignment[i] = NOISE;
+            set(&mut assignment, i, Assignment::Noise);
             continue;
         }
-        let cluster = n_clusters;
+        let cluster = Assignment::Cluster(n_clusters);
         n_clusters += 1;
-        assignment[i] = cluster;
+        set(&mut assignment, i, cluster);
         let mut queue: Vec<usize> = seeds;
         let mut cursor = 0;
-        while cursor < queue.len() {
-            let j = queue[cursor];
+        while let Some(&j) = queue.get(cursor) {
             cursor += 1;
-            if assignment[j] == NOISE {
+            match assignment.get(j) {
                 // Border point: density-reachable, joins the cluster.
-                assignment[j] = cluster;
-            }
-            if assignment[j] != UNVISITED {
-                continue;
-            }
-            assignment[j] = cluster;
-            let j_neighbours = neighbours(j);
-            if j_neighbours.len() >= min_pts {
-                queue.extend(j_neighbours);
+                Some(Assignment::Noise) => set(&mut assignment, j, cluster),
+                Some(Assignment::Unvisited) => {
+                    set(&mut assignment, j, cluster);
+                    let j_neighbours = neighbours(j);
+                    if j_neighbours.len() >= min_pts {
+                        queue.extend(j_neighbours);
+                    }
+                }
+                _ => {}
             }
         }
     }
-
     let labels = assignment
         .into_iter()
-        .map(|a| if a == NOISE || a == UNVISITED { Label::Noise } else { Label::Cluster(a) })
+        .map(|a| match a {
+            Assignment::Cluster(id) => Label::Cluster(id),
+            Assignment::Noise | Assignment::Unvisited => Label::Noise,
+        })
         .collect();
     Clustering { labels, n_clusters }
+}
+
+/// A point's state while DBSCAN runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Assignment {
+    Unvisited,
+    Noise,
+    Cluster(usize),
+}
+
+fn set(assignment: &mut [Assignment], i: usize, to: Assignment) {
+    if let Some(slot) = assignment.get_mut(i) {
+        *slot = to;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::euclidean;
 
     fn blob(center: (f64, f64), n: usize, spread: f64) -> Vec<Point> {
         // Deterministic ring of points around the center.
@@ -191,5 +213,51 @@ mod tests {
         let clustered: usize = c.sizes().iter().sum();
         let noise = c.labels.iter().filter(|&&l| l == Label::Noise).count();
         assert_eq!(clustered + noise, points.len());
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        /// Matrix DBSCAN labels every point as the per-query scan does, on
+        /// any coordinates (NaN, infinities, duplicates), with ε drawn
+        /// from the points' own distances so ties at exactly ε occur.
+        #[test]
+        fn matches_the_per_query_oracle(
+            tape in proptest::collection::vec((0u8..12, -2.0_f64..2.0), 0..120),
+            dim in 1usize..4,
+            pick in 0usize..10_000,
+            just_below in proptest::bool::ANY,
+            min_pts in 1usize..6,
+        ) {
+            let points = crate::oracle::points_from_tape(&tape, dim, true);
+            let distances = PairwiseDistances::new(&points);
+            let all: Vec<f64> =
+                (0..points.len()).flat_map(|i| distances.distances_from(i)).collect();
+            let at = all.get(pick % all.len().max(1)).copied().unwrap_or(0.5);
+            // ε exactly at one of the distances, or one step below it.
+            let eps = if just_below { f64::from_bits(at.to_bits().saturating_sub(1)) } else { at };
+            let fast = dbscan(&points, eps, min_pts);
+            let slow = crate::oracle::dbscan_per_query(&points, eps, min_pts);
+            proptest::prop_assert_eq!(&fast.labels, &slow.labels);
+            proptest::prop_assert_eq!(fast.n_clusters, slow.n_clusters);
+        }
+
+        /// The matrix reads back what a fresh `euclidean` call gives, for
+        /// both argument orders, on finite points.
+        #[test]
+        fn matrix_reads_back_every_distance(
+            tape in proptest::collection::vec((0u8..12, -2.0_f64..2.0), 0..60),
+            dim in 1usize..4,
+        ) {
+            let points = crate::oracle::points_from_tape(&tape, dim, false);
+            let distances = PairwiseDistances::new(&points);
+            for (i, p) in points.iter().enumerate() {
+                let row: Vec<f64> = distances.distances_from(i).collect();
+                let fresh: Vec<f64> = points.iter().map(|q| euclidean(p, q)).collect();
+                proptest::prop_assert_eq!(bits(&row), bits(&fresh));
+            }
+        }
     }
 }

@@ -28,7 +28,8 @@
 pub mod dbscan;
 pub mod distance;
 pub mod kdist;
+mod oracle;
 
-pub use dbscan::{dbscan, Clustering, Label};
-pub use distance::{euclidean, rows_from_columns, Point};
-pub use kdist::{epsilon_from_kdist, kdist_list, kdist_of};
+pub use dbscan::{dbscan, dbscan_precomputed, Clustering, Label};
+pub use distance::{euclidean, rows_from_columns, PairwiseDistances, Point};
+pub use kdist::{epsilon_from_kdist, kdist_list, kdist_list_from, kdist_of};

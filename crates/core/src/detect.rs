@@ -18,7 +18,9 @@
 //!    anomalies are assumed to be a small minority (§7). Points DBSCAN
 //!    labels as noise are not reported, per the paper.
 
-use dbsherlock_cluster::{dbscan, kdist_of, rows_from_columns, Label};
+use dbsherlock_cluster::{
+    dbscan_precomputed, kdist_list_from, rows_from_columns, Label, PairwiseDistances,
+};
 use dbsherlock_telemetry::{stats, AttributeKind, Dataset, Region};
 
 use crate::budget::ArmedBudget;
@@ -28,19 +30,47 @@ use crate::params::SherlockParams;
 
 /// Potential power of a normalized series (Eq. 4): the largest absolute
 /// deviation of any `tau`-window median from the global median.
+///
+/// The window slides over one [`stats::SortedWindow`]: each step removes
+/// the outgoing value and inserts the incoming one, and the median is read
+/// off the sorted slice by [`stats::median_in_place`]'s formula, so every
+/// window median has the bits a copy-and-select of the window would give.
 pub fn potential_power(normalized: &[f64], tau: usize) -> f64 {
     if normalized.is_empty() || tau == 0 || tau > normalized.len() {
         return 0.0;
     }
     let global = stats::median(normalized);
-    let mut scratch = vec![0.0; tau];
-    let mut best: f64 = 0.0;
-    for window in normalized.windows(tau) {
-        scratch.copy_from_slice(window);
-        let m = stats::median_in_place(&mut scratch);
-        best = best.max((m - global).abs());
+    let (first, rest) = normalized.split_at(tau);
+    let mut window = stats::SortedWindow::with_capacity(tau);
+    for &v in first {
+        window.insert(v);
+    }
+    let shift = |window: &stats::SortedWindow| (sorted_median(window.as_slice()) - global).abs();
+    let mut best = f64::max(0.0, shift(&window));
+    for (&outgoing, &incoming) in normalized.iter().zip(rest) {
+        window.remove(outgoing);
+        window.insert(incoming);
+        best = best.max(shift(&window));
     }
     best
+}
+
+/// [`stats::median_in_place`]'s median of a slice sorted under
+/// `total_cmp`: the upper middle element, averaged for even lengths with
+/// the `f64::max` fold of the lower half (which skips NaNs). The fold's
+/// order matters only for which zero it returns when the lower half holds
+/// both; then the upper middle is `+0.0` or above, and adding either zero
+/// to it gives the same sum. So the result does not depend on how
+/// `median_in_place` happens to arrange the lower half.
+fn sorted_median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    let Some(&upper) = sorted.get(mid) else { return 0.0 };
+    if sorted.len() % 2 == 1 {
+        upper
+    } else {
+        let lower = sorted.iter().take(mid).copied().fold(f64::NEG_INFINITY, f64::max);
+        (lower + upper) / 2.0
+    }
 }
 
 /// Attribute ids whose potential power exceeds `PP_t`, with their
@@ -93,9 +123,9 @@ pub fn detect_anomaly(dataset: &Dataset, params: &SherlockParams) -> Option<Dete
 
 /// [`detect_anomaly`] under a [`DiagnosisBudget`](crate::DiagnosisBudget):
 /// cooperative deadline/cancellation checks before each attribute's median
-/// filter and each point's k-dist scan, size admission up front, and
-/// per-slot panic isolation. Within budget, output is identical to
-/// [`detect_anomaly`].
+/// filter and each point's row of pairwise distances, size admission up
+/// front, and per-slot panic isolation. Within budget, output is identical
+/// to [`detect_anomaly`].
 pub fn try_detect_anomaly(
     dataset: &Dataset,
     params: &SherlockParams,
@@ -111,17 +141,23 @@ pub fn try_detect_anomaly(
     if points.len() < params.min_pts {
         return Ok(None);
     }
-    // O(n²) pairwise scan, one independent row per point: the detector's
-    // dominant cost, mapped across the thread budget.
+    // The O(n²) pairwise distances, the detector's dominant cost: computed
+    // once, one independent row per point mapped across the thread budget,
+    // and read by both the k-dist list and DBSCAN.
     let indices: Vec<usize> = (0..points.len()).collect();
-    let lk_slots = try_par_map_indexed(params.exec, "detect", &indices, |_, &i| {
+    let row_slots = try_par_map_indexed(params.exec, "detect", &indices, |_, &i| {
         budget.check("detect")?;
-        Ok(kdist_of(&points, i, params.min_pts))
+        Ok(PairwiseDistances::row(&points, i))
     });
-    let mut lk: Vec<f64> = Vec::with_capacity(lk_slots.len());
-    for slot in lk_slots {
-        lk.push(slot?);
+    let mut distance_rows = Vec::with_capacity(row_slots.len());
+    for slot in row_slots {
+        distance_rows.push(slot?);
     }
+    // Rows built by `PairwiseDistances::row` always fit.
+    let Some(distances) = PairwiseDistances::from_rows(&points, distance_rows) else {
+        return Ok(None);
+    };
+    let lk = kdist_list_from(&distances, params.min_pts);
     let max_lk = lk.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if max_lk <= 0.0 || !max_lk.is_finite() {
         return Ok(None);
@@ -131,20 +167,18 @@ pub fn try_detect_anomaly(
     // internally connected even when there are no transition points to
     // prop up max(L_k).
     let eps = (max_lk / 4.0).max(2.0 * stats::quantile(&lk, 0.99));
-    let clustering = dbscan(&points, eps, params.min_pts);
+    let clustering = dbscan_precomputed(&distances, eps, params.min_pts);
     let n = points.len();
     let max_cluster = (params.max_anomaly_fraction * n as f64) as usize;
     let sizes = clustering.sizes();
-    let mut rows: Vec<usize> = Vec::new();
-    for (row, label) in clustering.labels.iter().enumerate() {
-        let anomalous = match label {
-            Label::Noise => false,
-            Label::Cluster(id) => sizes[*id] < max_cluster,
-        };
-        if anomalous {
-            rows.push(row);
-        }
-    }
+    let small = |id: usize| sizes.get(id).is_some_and(|&size| size < max_cluster);
+    let rows: Vec<usize> = clustering
+        .labels
+        .iter()
+        .enumerate()
+        .filter(|(_, label)| matches!(label, Label::Cluster(id) if small(*id)))
+        .map(|(row, _)| row)
+        .collect();
     if rows.is_empty() || rows.len() >= n {
         return Ok(None);
     }
@@ -183,6 +217,70 @@ mod tests {
         assert_eq!(potential_power(&[], 20), 0.0);
         assert_eq!(potential_power(&[1.0, 2.0], 20), 0.0);
         assert_eq!(potential_power(&[1.0, 2.0, 3.0], 0), 0.0);
+    }
+
+    /// Eq. 4 as it was first written: copy each window into a scratch
+    /// buffer and select its median. The oracle for the sliding window.
+    fn potential_power_select(normalized: &[f64], tau: usize) -> f64 {
+        if normalized.is_empty() || tau == 0 || tau > normalized.len() {
+            return 0.0;
+        }
+        let global = stats::median(normalized);
+        let mut scratch = vec![0.0; tau];
+        let mut best: f64 = 0.0;
+        for window in normalized.windows(tau) {
+            scratch.copy_from_slice(window);
+            let m = stats::median_in_place(&mut scratch);
+            best = best.max((m - global).abs());
+        }
+        best
+    }
+
+    /// A series value from a tape cell: NaN of either sign, ±0.0, a
+    /// repeated constant, an infinity, or the cell's own number.
+    fn awkward(pick: u8, v: f64) -> f64 {
+        match pick {
+            0 => f64::NAN,
+            1 => -f64::NAN,
+            2 => 0.0,
+            3 => -0.0,
+            4 | 5 => 0.5,
+            6 => f64::NEG_INFINITY,
+            _ => v,
+        }
+    }
+
+    proptest::proptest! {
+        /// The sliding window returns the copy-and-select result bit for
+        /// bit: NaN of both signs, ±0.0, constant runs, series shorter
+        /// than τ, even and odd τ.
+        #[test]
+        fn potential_power_matches_copy_and_select(
+            tape in proptest::collection::vec((0u8..12, -1.0_f64..2.0), 0..90),
+            tau in 0usize..25,
+            constant in proptest::bool::ANY,
+        ) {
+            let series: Vec<f64> = if constant {
+                vec![awkward(tape.first().map_or(9, |c| c.0), 0.25); tape.len()]
+            } else {
+                tape.iter().map(|&(pick, v)| awkward(pick, v)).collect()
+            };
+            let fast = potential_power(&series, tau);
+            let slow = potential_power_select(&series, tau);
+            proptest::prop_assert_eq!(fast.to_bits(), slow.to_bits(), "tau {}, {:?}", tau, series);
+        }
+
+        /// Both agree on the detector's own input: normalized columns.
+        #[test]
+        fn potential_power_matches_on_normalized_columns(
+            raw in proptest::collection::vec(-50.0_f64..50.0, 0..200),
+            tau in 1usize..30,
+        ) {
+            let normalized = stats::normalize_slice(&raw);
+            let fast = potential_power(&normalized, tau);
+            let slow = potential_power_select(&normalized, tau);
+            proptest::prop_assert_eq!(fast.to_bits(), slow.to_bits());
+        }
     }
 
     /// 300 rows of noisy baseline with a 40-row level shift in two

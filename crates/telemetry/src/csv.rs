@@ -13,6 +13,7 @@
 //!
 //! Fields containing commas, quotes, or newlines are quoted RFC-4180 style.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::attribute::{AttributeKind, AttributeMeta, Schema};
@@ -62,14 +63,14 @@ pub fn from_csv(text: &str) -> Result<Dataset> {
     let (_, header) =
         lines.next().ok_or(TelemetryError::Parse { line: 1, message: "empty input".into() })?;
     let fields = split_line(header, 1)?;
-    if fields.first().map(String::as_str) != Some("timestamp") {
+    if fields.first().map(Cow::as_ref) != Some("timestamp") {
         return Err(TelemetryError::Parse {
             line: 1,
             message: "first column must be `timestamp`".into(),
         });
     }
     let mut schema = Schema::new();
-    for field in &fields[1..] {
+    for field in fields.iter().skip(1) {
         let (name, tag) = field.rsplit_once(':').ok_or_else(|| TelemetryError::Parse {
             line: 1,
             message: format!("header field {field:?} missing `:num`/`:cat` tag"),
@@ -93,9 +94,9 @@ pub fn from_csv(text: &str) -> Result<Dataset> {
                 found: fields.len(),
             });
         }
-        let timestamp = parse_num(&fields[0], line_no)?;
+        let timestamp = parse_num(fields.first().map_or("", Cow::as_ref), line_no)?;
         let mut values = Vec::with_capacity(dataset.schema().len());
-        for (attr_id, field) in fields[1..].iter().enumerate() {
+        for (attr_id, field) in fields.iter().skip(1).enumerate() {
             let value = match dataset.schema().attr(attr_id).kind {
                 AttributeKind::Numeric => Value::Num(parse_num(field, line_no)?),
                 AttributeKind::Categorical => dataset.intern(attr_id, field)?,
@@ -184,7 +185,7 @@ pub fn parse_header_lossy(header: &str, warnings: &mut Vec<IngestWarning>) -> Re
             })
         }
     };
-    if header_fields.first().map(String::as_str) != Some("timestamp") {
+    if header_fields.first().map(Cow::as_ref) != Some("timestamp") {
         return Err(TelemetryError::Parse {
             line: 1,
             message: "first column must be `timestamp`".into(),
@@ -241,7 +242,18 @@ pub fn parse_line_lossy(
     line_no: usize,
     warnings: &mut Vec<IngestWarning>,
 ) -> Option<(f64, Vec<RawCell>)> {
-    let mut fields = match split_line(line, line_no) {
+    parse_fields_lossy(schema, split_line(line, line_no), line_no, warnings)
+}
+
+/// [`parse_line_lossy`] after the split: the lossy policy applied to one
+/// line's fields, or to the error of a line that did not split.
+fn parse_fields_lossy(
+    schema: &Schema,
+    split: Result<Vec<Cow<'_, str>>>,
+    line_no: usize,
+    warnings: &mut Vec<IngestWarning>,
+) -> Option<(f64, Vec<RawCell>)> {
+    let mut fields = match split {
         Ok(fields) => fields,
         Err(_) => {
             // An unterminated quote usually means the stream was cut
@@ -255,12 +267,12 @@ pub fn parse_line_lossy(
     if fields.len() != expected {
         warnings.push(IngestWarning::ArityRepair { line: line_no, expected, found: fields.len() });
         if fields.len() < expected {
-            fields.resize(expected, String::new());
+            fields.resize(expected, Cow::Borrowed(""));
         } else {
             fields.truncate(expected);
         }
     }
-    let ts_text = fields.first().map(String::as_str).unwrap_or("");
+    let ts_text = fields.first().map_or("", Cow::as_ref);
     let timestamp = match parse_num(ts_text, line_no) {
         Ok(t) if t.is_finite() => t,
         _ => {
@@ -272,12 +284,12 @@ pub fn parse_line_lossy(
         }
     };
     let mut cells = Vec::with_capacity(n_attrs);
-    for (attr_id, field) in fields.iter().skip(1).enumerate() {
+    for (attr_id, field) in fields.into_iter().skip(1).enumerate() {
         // Arity repair capped the loop at n_attrs, so the id is in range.
         let Some(meta) = schema.get(attr_id) else { break };
         let attr_name = || meta.name.clone();
         let cell = match meta.kind {
-            AttributeKind::Numeric => match parse_num(field, line_no) {
+            AttributeKind::Numeric => match parse_num(&field, line_no) {
                 Ok(v) => {
                     if !v.is_finite() {
                         warnings.push(IngestWarning::NonFiniteCell {
@@ -309,7 +321,7 @@ pub fn parse_line_lossy(
                     });
                     RawCell::Label("<missing>".to_string())
                 } else {
-                    RawCell::Label(field.clone())
+                    RawCell::Label(field.into_owned())
                 }
             }
         };
@@ -363,36 +375,63 @@ fn write_field(out: &mut String, field: &str) {
     }
 }
 
-/// Split one CSV line into unescaped fields.
-fn split_line(line: &str, line_no: usize) -> Result<Vec<String>> {
+/// Split one CSV line into unescaped fields. A field is quoted when its
+/// first character is `"`: up to the closing quote, `""` stands for one
+/// `"` and commas are data; whatever follows the closing quote up to the
+/// next comma is taken as it stands. Anywhere else a `"` is data. Fields
+/// borrow from `line`; only quoted fields are copied, to unescape them.
+fn split_line(line: &str, line_no: usize) -> Result<Vec<Cow<'_, str>>> {
     let mut fields = Vec::new();
-    let mut current = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(ch) = chars.next() {
-        match (in_quotes, ch) {
-            (false, ',') => fields.push(std::mem::take(&mut current)),
-            (false, '"') if current.is_empty() => in_quotes = true,
-            (false, c) => current.push(c),
-            (true, '"') => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    current.push('"');
-                } else {
-                    in_quotes = false;
-                }
+    let mut rest = line;
+    loop {
+        let (field, tail) = match rest.strip_prefix('"') {
+            Some(quoted) => {
+                let (unquoted, after) = unquote(quoted).ok_or_else(|| TelemetryError::Parse {
+                    line: line_no,
+                    message: "unterminated quoted field".into(),
+                })?;
+                let (literal, tail) = split_at_comma(after);
+                (Cow::Owned(unquoted + literal), tail)
             }
-            (true, c) => current.push(c),
+            None => {
+                let (field, tail) = split_at_comma(rest);
+                (Cow::Borrowed(field), tail)
+            }
+        };
+        fields.push(field);
+        match tail {
+            Some(tail) => rest = tail,
+            None => return Ok(fields),
         }
     }
-    if in_quotes {
-        return Err(TelemetryError::Parse {
-            line: line_no,
-            message: "unterminated quoted field".into(),
-        });
+}
+
+/// The text before the first comma of `s`, and the text after it if there
+/// is one.
+fn split_at_comma(s: &str) -> (&str, Option<&str>) {
+    match s.split_once(',') {
+        Some((field, tail)) => (field, Some(tail)),
+        None => (s, None),
     }
-    fields.push(current);
-    Ok(fields)
+}
+
+/// Unescape a quoted field's body (the text after its opening quote) up to
+/// its closing quote; returns it with the text after that quote, or `None`
+/// when the quote is never closed.
+fn unquote(body: &str) -> Option<(String, &str)> {
+    let mut unquoted = String::with_capacity(body.len());
+    let mut rest = body;
+    loop {
+        let (text, after) = rest.split_once('"')?;
+        unquoted.push_str(text);
+        match after.strip_prefix('"') {
+            Some(escaped) => {
+                unquoted.push('"');
+                rest = escaped;
+            }
+            None => return Some((unquoted, after)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -551,5 +590,108 @@ mod tests {
         assert_eq!(d.schema().len(), 2);
         assert!(warnings.iter().any(|w| matches!(w, IngestWarning::HeaderDrift { .. })));
         assert_eq!(d.numeric(1).unwrap(), &[2.0]);
+    }
+
+    /// The splitter as it was first written: one char at a time, one
+    /// `String` per field. The oracle for [`split_line`].
+    fn split_line_chars(line: &str, line_no: usize) -> Result<Vec<String>> {
+        let mut fields = Vec::new();
+        let mut current = String::new();
+        let mut chars = line.chars().peekable();
+        let mut in_quotes = false;
+        while let Some(ch) = chars.next() {
+            match (in_quotes, ch) {
+                (false, ',') => fields.push(std::mem::take(&mut current)),
+                (false, '"') if current.is_empty() => in_quotes = true,
+                (false, c) => current.push(c),
+                (true, '"') => {
+                    if chars.peek() == Some(&'"') {
+                        chars.next();
+                        current.push('"');
+                    } else {
+                        in_quotes = false;
+                    }
+                }
+                (true, c) => current.push(c),
+            }
+        }
+        if in_quotes {
+            return Err(TelemetryError::Parse {
+                line: line_no,
+                message: "unterminated quoted field".into(),
+            });
+        }
+        fields.push(current);
+        Ok(fields)
+    }
+
+    /// Decode a byte tape into a CSV line built from the pieces that
+    /// stress a splitter: commas, quotes (at a field's start and inside
+    /// it, doubled, unterminated), CR, multibyte text, numbers, words and
+    /// the non-finite spellings.
+    fn line_from_tape(tape: &[u8]) -> String {
+        const PIECES: [&str; 16] = [
+            ",", "\"", "\"\"", ",\"", "\r", "é", "測😀", "1", "2.5", "-", " ", "x", "NaN", "inf",
+            "e3", "",
+        ];
+        tape.iter().filter_map(|&b| PIECES.get(usize::from(b) % PIECES.len())).copied().collect()
+    }
+
+    fn fuzz_schema() -> Schema {
+        Schema::from_attrs([
+            AttributeMeta::numeric("cpu"),
+            AttributeMeta::categorical("job"),
+            AttributeMeta::numeric("io"),
+        ])
+        .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The borrowing splitter yields the char-by-char splitter's fields,
+        /// and fails exactly where it does.
+        #[test]
+        fn split_line_matches_the_char_oracle(tape in proptest::collection::vec(0u8..=255, 0..48)) {
+            let line = line_from_tape(&tape);
+            let fast = split_line(&line, 7)
+                .map(|fields| fields.into_iter().map(Cow::into_owned).collect::<Vec<_>>());
+            let slow = split_line_chars(&line, 7);
+            proptest::prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "line {:?}", line);
+        }
+
+        /// Lossy row parsing over the new splitter gives the same row and
+        /// the same warnings as over the oracle's fields.
+        #[test]
+        fn lossy_line_matches_the_char_oracle(tape in proptest::collection::vec(0u8..=255, 0..48)) {
+            let line = line_from_tape(&tape);
+            let schema = fuzz_schema();
+            let mut fast_warnings = Vec::new();
+            let fast = parse_line_lossy(&schema, &line, 3, &mut fast_warnings);
+            let mut slow_warnings = Vec::new();
+            let oracle_fields = split_line_chars(&line, 3)
+                .map(|fields| fields.into_iter().map(Cow::Owned).collect());
+            let slow = parse_fields_lossy(&schema, oracle_fields, 3, &mut slow_warnings);
+            proptest::prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "line {:?}", line);
+            proptest::prop_assert_eq!(fast_warnings, slow_warnings, "line {:?}", line);
+        }
+    }
+
+    #[test]
+    fn split_line_edge_cases() {
+        let split = |line: &str| {
+            split_line(line, 1).map(|f| f.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        };
+        assert_eq!(split("").unwrap(), vec![""]);
+        assert_eq!(split("a,").unwrap(), vec!["a", ""]);
+        assert_eq!(split("\"a,b\"c,d").unwrap(), vec!["a,bc", "d"]);
+        assert_eq!(split("\"say \"\"hi\"\"\"").unwrap(), vec!["say \"hi\""]);
+        assert_eq!(split("x\"y\",\"\"\"\"").unwrap(), vec!["x\"y\"", "\""]);
+        assert_eq!(split("\"\"x\"").unwrap(), vec!["x\""]);
+        assert!(split("\"\"\"").is_err());
+        assert!(split("ok,\"open").is_err());
+        let fields = split_line("plain,\"quoted\"", 1).unwrap();
+        assert!(matches!(fields.first(), Some(Cow::Borrowed("plain"))));
+        assert!(matches!(fields.get(1), Some(Cow::Owned(_))));
     }
 }

@@ -37,9 +37,9 @@ pub fn median(values: &[f64]) -> f64 {
     median_in_place(&mut scratch)
 }
 
-/// Median that reuses the caller's buffer (sorted as a side effect).
-/// Useful in the sliding-window median filter of the anomaly detector,
-/// where allocating per window would dominate.
+/// Median that reuses the caller's buffer (partially sorted as a side
+/// effect), for callers taking many medians of same-sized scratch data
+/// without allocating per call.
 pub fn median_in_place(scratch: &mut [f64]) -> f64 {
     if scratch.is_empty() {
         return 0.0;
@@ -93,6 +93,54 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     } else {
         let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+/// A multiset of floats kept sorted under [`f64::total_cmp`], for window
+/// statistics that move one value at a time: [`insert`](Self::insert) and
+/// [`remove`](Self::remove) are a binary search plus one shift, and
+/// [`as_slice`](Self::as_slice) reads the window in order at any time.
+/// `total_cmp` orders every bit pattern (NaNs of both signs, `-0.0` before
+/// `+0.0`) and calls two values equal only when their bits are, so the
+/// slice is exactly what sorting a copy of the held values would give.
+/// The §7 detector slides a fixed-size window with it and the PerfAugur
+/// baseline grows one; each reads its own statistic off the slice.
+#[derive(Debug, Clone, Default)]
+pub struct SortedWindow {
+    sorted: Vec<f64>,
+}
+
+impl SortedWindow {
+    /// An empty window with room for `capacity` values.
+    pub fn with_capacity(capacity: usize) -> Self {
+        SortedWindow { sorted: Vec::with_capacity(capacity) }
+    }
+
+    /// Add one value.
+    pub fn insert(&mut self, value: f64) {
+        let at = self.sorted.partition_point(|held| held.total_cmp(&value).is_lt());
+        self.sorted.insert(at, value);
+    }
+
+    /// Remove one value bit-equal to `value`; `false` when none is held.
+    pub fn remove(&mut self, value: f64) -> bool {
+        match self.sorted.binary_search_by(|held| held.total_cmp(&value)) {
+            Ok(at) => {
+                self.sorted.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Drop every value, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.sorted.clear();
+    }
+
+    /// The held values in ascending `total_cmp` order.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.sorted
     }
 }
 
@@ -235,6 +283,61 @@ mod tests {
         let data = [9.0, -1.0, 4.0, 4.0, 7.0, 0.5];
         let mut scratch = data.to_vec();
         assert_eq!(median_in_place(&mut scratch), median(&data));
+    }
+
+    /// A value whose order only `total_cmp` settles for small `pick`s —
+    /// NaNs of both signs, both zeros, a duplicate-prone constant — and
+    /// `any` otherwise.
+    fn awkward(pick: u8, any: f64) -> f64 {
+        match pick {
+            0 => f64::NAN,
+            1 => -f64::NAN,
+            2 => 0.0,
+            3 => -0.0,
+            4 => 1.0,
+            _ => any,
+        }
+    }
+
+    proptest::proptest! {
+        /// After any sequence of inserts and removes, the window holds
+        /// exactly the sorted copy of its multiset, bit for bit.
+        #[test]
+        fn sorted_window_matches_a_sorted_copy(
+            tape in proptest::collection::vec((0u8..8, proptest::num::f64::ANY), 0..40),
+            removals in proptest::collection::vec(0usize..64, 0..40),
+        ) {
+            let values: Vec<f64> = tape.into_iter().map(|(pick, any)| awkward(pick, any)).collect();
+            let mut window = SortedWindow::default();
+            let mut held: Vec<f64> = Vec::new();
+            for &v in &values {
+                window.insert(v);
+                held.push(v);
+            }
+            for &r in &removals {
+                match held.len() {
+                    0 => proptest::prop_assert!(!window.remove(1.0)),
+                    len => {
+                        let v = held.swap_remove(r % len);
+                        proptest::prop_assert!(window.remove(v));
+                    }
+                }
+            }
+            held.sort_by(f64::total_cmp);
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(window.as_slice()), bits(&held));
+        }
+    }
+
+    #[test]
+    fn sorted_window_remove_misses_absent_bits() {
+        let mut window = SortedWindow::with_capacity(2);
+        window.insert(0.0);
+        assert!(!window.remove(-0.0), "-0.0 and +0.0 are different values here");
+        assert!(window.remove(0.0));
+        window.insert(2.0);
+        window.clear();
+        assert!(window.as_slice().is_empty());
     }
 
     #[test]

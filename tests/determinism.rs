@@ -203,8 +203,43 @@ proptest! {
         prop_assert_eq!(columnar_preds, scalar_preds);
     }
 
+    /// The engine's detection equals the public-kernel chain on random
+    /// data: level shifts of random size and place over random noise, with
+    /// NaN cells and constant attributes mixed in.
+    #[test]
+    fn detect_equals_the_public_kernel_chain_on_random_data(
+        n_rows in 3usize..150,
+        shifts in prop::collection::vec((0usize..150, 5usize..60, -5.0_f64..5.0), 1..5),
+        noise in prop::collection::vec((0u8..40, 0.0_f64..1.0), 600),
+    ) {
+        let schema = Schema::from_attrs(
+            (0..shifts.len()).map(|a| AttributeMeta::numeric(format!("a{a}"))),
+        )
+        .unwrap();
+        let mut d = Dataset::new(schema);
+        for row in 0..n_rows {
+            let values: Vec<Value> = shifts
+                .iter()
+                .enumerate()
+                .map(|(a, &(at, len, jump))| {
+                    let (pick, wiggle) = noise[(row * 7 + a * 131) % noise.len()];
+                    let level = if (at..at + len).contains(&row) { jump } else { 0.0 };
+                    Value::Num(match pick {
+                        0 => f64::NAN,
+                        1 if a == 0 => 3.0,
+                        _ => level + wiggle * 0.2,
+                    })
+                })
+                .collect();
+            d.push_row(row as f64, &values).unwrap();
+        }
+        let params = SherlockParams::default();
+        let engine = dbsherlock::core::detect_anomaly(&d, &params);
+        prop_assert_eq!(engine, detect_by_public_kernels(&d, &params));
+    }
+
     /// Automatic detection is policy-independent too (potential power and
-    /// the k-dist scan run on the pool).
+    /// the pairwise distances run on the pool).
     #[test]
     fn detect_is_identical_across_policies(
         base in 1.0_f64..100.0,
@@ -218,6 +253,82 @@ proptest! {
         let b = threaded.detect(&d);
         prop_assert_eq!(a, b);
     }
+}
+
+/// §7 detection spelled out through the public kernels, in the order the
+/// engine runs them: `normalize_slice` → `potential_power` → attribute
+/// selection → `rows_from_columns` → `kdist_of` per point → the ε rule →
+/// `dbscan` → clusters under the anomaly fraction. The engine computes the
+/// same thing through one shared distance matrix; this chain recomputes
+/// every distance per call, so a disagreement means the two paths differ.
+fn detect_by_public_kernels(
+    d: &Dataset,
+    params: &SherlockParams,
+) -> Option<dbsherlock::core::Detection> {
+    use dbsherlock::cluster::{dbscan, kdist_of, rows_from_columns, Label};
+    use dbsherlock::telemetry::stats;
+    let mut selected = Vec::new();
+    for attr_id in d.schema().ids_of_kind(AttributeKind::Numeric) {
+        let normalized = stats::normalize_slice(d.numeric(attr_id)?);
+        if dbsherlock::core::potential_power(&normalized, params.tau()) > params.pp_t() {
+            selected.push((attr_id, normalized));
+        }
+    }
+    if selected.is_empty() {
+        return None;
+    }
+    let columns: Vec<&[f64]> = selected.iter().map(|(_, col)| col.as_slice()).collect();
+    let points = rows_from_columns(&columns);
+    if points.len() < params.min_pts() {
+        return None;
+    }
+    let lk: Vec<f64> = (0..points.len()).map(|i| kdist_of(&points, i, params.min_pts())).collect();
+    let max_lk = lk.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if max_lk <= 0.0 || !max_lk.is_finite() {
+        return None;
+    }
+    let eps = (max_lk / 4.0).max(2.0 * stats::quantile(&lk, 0.99));
+    let clustering = dbscan(&points, eps, params.min_pts());
+    let max_cluster = (params.max_anomaly_fraction() * points.len() as f64) as usize;
+    let sizes = clustering.sizes();
+    let rows: Vec<usize> = clustering
+        .labels
+        .iter()
+        .enumerate()
+        .filter(|(_, label)| matches!(label, Label::Cluster(id) if sizes[*id] < max_cluster))
+        .map(|(row, _)| row)
+        .collect();
+    if rows.is_empty() || rows.len() >= points.len() {
+        return None;
+    }
+    Some(dbsherlock::core::Detection {
+        region: Region::from_indices(rows),
+        selected_attrs: selected.into_iter().map(|(id, _)| id).collect(),
+    })
+}
+
+/// The engine's detection equals the public-kernel chain on windows of
+/// simulated telemetry: one 400-second run per Table 1 class with a
+/// 30-second anomaly, in 192-row windows (`sherlockd`'s default detection
+/// window) sliding across the anomaly, under both execution policies.
+#[test]
+fn detect_equals_the_public_kernel_chain_on_corpus_windows() {
+    let mut detections = 0;
+    for (k, &kind) in AnomalyKind::ALL.iter().enumerate() {
+        let scenario = Scenario::new(WorkloadConfig::tpcc_default(), 400, 2016 + k as u64)
+            .with_injection(Injection::new(kind, 200, 30));
+        let data = scenario.run().data;
+        for start in [100, 140, 180] {
+            let window = &data.select(&Region::from_range(start..start + 192)).unwrap();
+            let chain = detect_by_public_kernels(window, &SherlockParams::default());
+            for exec in [ExecPolicy::Serial, ExecPolicy::Threads(3)] {
+                let params = SherlockParams::default().with_exec(exec);
+                assert_eq!(dbsherlock::core::detect_anomaly(window, &params), chain, "{kind:?}");
+            }
+            detections += usize::from(chain.is_some());
+        }
+    }
+    assert!(detections >= 10, "only {detections} windows had a detection to compare");
 }
 
 #[test]
