@@ -79,7 +79,7 @@ fn engine(dataset: &Dataset, abnormal: &Region, exec: ExecPolicy) -> Sherlock {
     let mut sherlock = Sherlock::new(SherlockParams::default().with_exec(exec));
     let seed = sherlock.explain(dataset, abnormal, None);
     sherlock.feedback("injected shift", &seed.predicates);
-    sherlock.feedback_with_action("red herring", &[], "restart", false);
+    sherlock.feedback("red herring", &[]);
     sherlock
 }
 

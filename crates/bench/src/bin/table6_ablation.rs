@@ -5,7 +5,9 @@
 //! jointly disabled.
 
 use dbsherlock_bench::{diagnose, pct, repository_from, tpcc_corpus, write_json, Table, Tally};
-use dbsherlock_core::{generate_predicates_ablated, AblationFlags, CausalModel, SherlockParams};
+use dbsherlock_core::{
+    try_generate_predicates, AblationFlags, ArmedBudget, CausalModel, SherlockParams,
+};
 use dbsherlock_simulator::{AnomalyKind, VARIATIONS};
 
 fn run(flags: AblationFlags) -> Tally {
@@ -22,13 +24,15 @@ fn run(flags: AblationFlags) -> Tally {
                     .expect("corpus cell");
                 let abnormal = entry.labeled.abnormal_region();
                 let normal = entry.labeled.normal_region();
-                let preds = generate_predicates_ablated(
-                    &entry.labeled.data,
+                let preds = try_generate_predicates(
+                    &entry.labeled.data.snapshot(),
                     &abnormal,
                     &normal,
                     &params,
                     flags,
-                );
+                    &ArmedBudget::unlimited(),
+                )
+                .expect("unbudgeted generation");
                 CausalModel::from_feedback(kind.name(), &preds)
             })
             .collect();

@@ -14,17 +14,14 @@
 
 use dbsherlock_telemetry::{Dataset, Region};
 
-use crate::actions::{ActionLog, Remediation};
 use crate::budget::ArmedBudget;
 use crate::causal::{CausalModel, ModelRepository, RankedCause};
 use crate::detect::{try_detect_anomaly, Detection};
 use crate::domain::DomainKnowledge;
 use crate::error::SherlockError;
 use crate::exec::{try_par_map_indexed, ExecPolicy};
-use crate::generate::{try_generate_predicates_snapshot, GeneratedPredicate};
-use crate::intervene::{
-    validate_explanation, CauseVerdict, InterventionConfig, InterventionReport, InterventionRunner,
-};
+use crate::generate::{try_generate_predicates, AblationFlags, GeneratedPredicate};
+use crate::intervene::CauseVerdict;
 use crate::params::SherlockParams;
 use crate::predicate::display_conjunction;
 
@@ -68,8 +65,7 @@ pub struct Explanation {
     pub all_causes: Vec<RankedCause>,
     /// Interventional verdicts, one per validated candidate. Empty until
     /// the explanation is passed through
-    /// [`validate_explanation`](crate::intervene::validate_explanation)
-    /// (directly or via [`Sherlock::try_explain_validated`]).
+    /// [`validate_explanation`](crate::intervene::validate_explanation).
     pub interventions: Vec<CauseVerdict>,
 }
 
@@ -86,14 +82,12 @@ impl Explanation {
     }
 }
 
-/// The DBSherlock engine: parameters + domain knowledge + causal models +
-/// remediation memory.
+/// The DBSherlock engine: parameters + domain knowledge + causal models.
 #[derive(Debug, Clone, Default)]
 pub struct Sherlock {
     params: SherlockParams,
     domain: DomainKnowledge,
     repository: ModelRepository,
-    actions: ActionLog,
 }
 
 impl Sherlock {
@@ -199,28 +193,18 @@ impl Sherlock {
         budget: &ArmedBudget,
     ) -> Result<Explanation, SherlockError> {
         budget.admit(dataset.n_rows(), params.n_partitions)?;
-        if dataset.n_rows() == 0 {
-            return Err(SherlockError::EmptyInput("dataset"));
-        }
-        // Clip to the rows that actually exist: with degraded telemetry the
-        // user's regions may reference rows that lossy ingestion dropped.
-        let n_rows = dataset.n_rows();
-        let abnormal = &abnormal.clip(n_rows);
-        if abnormal.is_empty() {
-            return Err(SherlockError::EmptyRegion { what: "abnormal", n_rows });
-        }
-        let normal = match normal {
-            Some(region) => region.clip(n_rows),
-            None => abnormal.complement(n_rows),
-        };
-        if normal.is_empty() {
-            return Err(SherlockError::EmptyRegion { what: "normal", n_rows });
-        }
-        let normal = &normal;
+        let (abnormal, normal) = &clip_regions(dataset, abnormal, normal)?;
         // One columnar snapshot pins every attribute-contiguous slice for
         // the whole pass; kernels below never pay per-cell dispatch.
         let snapshot = dataset.snapshot();
-        let raw = try_generate_predicates_snapshot(&snapshot, abnormal, normal, params, budget)?;
+        let raw = try_generate_predicates(
+            &snapshot,
+            abnormal,
+            normal,
+            params,
+            AblationFlags::default(),
+            budget,
+        )?;
         let predicates = self.domain.prune(dataset, raw, params);
         let all_causes = self.repository.try_rank(dataset, abnormal, normal, params, budget)?;
         let causes = all_causes.iter().filter(|c| c.confidence >= params.lambda).cloned().collect();
@@ -229,9 +213,9 @@ impl Sherlock {
 
     /// [`try_explain`](Self::try_explain) through the row-wise reference
     /// kernels of [`scalar`](crate::scalar): same degenerate-input checks,
-    /// same domain pruning and λ filter, but per-cell `value()` access and
-    /// no budget or parallelism. Required to be bit-identical to the
-    /// columnar path on every input — the determinism proptests and the
+    /// same domain pruning and λ filter, but per-cell access and no budget
+    /// or parallelism. Required to be bit-identical to the columnar path
+    /// on every input — the determinism proptests and the
     /// `columnar_scaling` benchmark diff the two.
     #[cfg(any(test, feature = "scalar-shim"))]
     pub fn explain_scalar(
@@ -240,22 +224,7 @@ impl Sherlock {
         abnormal: &Region,
         normal: Option<&Region>,
     ) -> Result<Explanation, SherlockError> {
-        if dataset.n_rows() == 0 {
-            return Err(SherlockError::EmptyInput("dataset"));
-        }
-        let n_rows = dataset.n_rows();
-        let abnormal = &abnormal.clip(n_rows);
-        if abnormal.is_empty() {
-            return Err(SherlockError::EmptyRegion { what: "abnormal", n_rows });
-        }
-        let normal = match normal {
-            Some(region) => region.clip(n_rows),
-            None => abnormal.complement(n_rows),
-        };
-        if normal.is_empty() {
-            return Err(SherlockError::EmptyRegion { what: "normal", n_rows });
-        }
-        let normal = &normal;
+        let (abnormal, normal) = &clip_regions(dataset, abnormal, normal)?;
         let raw = crate::scalar::generate_predicates(dataset, abnormal, normal, &self.params);
         let predicates = self.domain.prune(dataset, raw, &self.params);
         let all_causes =
@@ -265,82 +234,10 @@ impl Sherlock {
         Ok(Explanation { predicates, causes, all_causes, interventions: Vec::new() })
     }
 
-    /// [`try_explain`](Self::try_explain), then interventionally validate
-    /// the top-ranked causes against `runner` (§ interventional validation
-    /// in `intervene`): each candidate's fault is re-injected and the
-    /// explanation's own symptom signature is scored on the re-runs. The
-    /// returned explanation carries one populated
-    /// [`InterventionVerdict`](crate::intervene::InterventionVerdict) per
-    /// candidate, with reproduced causes promoted to the front of the
-    /// ranking when `cfg.promote` is set.
-    ///
-    /// Only the *explanation* can fail; trial-level trouble (runner errors,
-    /// blown intervention budgets, panicking trials) degrades to
-    /// not-reproduced verdicts counted in the report.
-    pub fn try_explain_validated(
-        &self,
-        dataset: &Dataset,
-        abnormal: &Region,
-        normal: Option<&Region>,
-        runner: &dyn InterventionRunner,
-        cfg: &InterventionConfig,
-    ) -> Result<(Explanation, InterventionReport), SherlockError> {
-        let mut explanation = self.try_explain(dataset, abnormal, normal)?;
-        let report = validate_explanation(&mut explanation, runner, &self.params, cfg);
-        Ok((explanation, report))
-    }
-
-    /// [`explain_batch`](Self::explain_batch) followed by interventional
-    /// validation of every successful case. Cases fan out first (batch-level
-    /// parallelism, one armed budget); validation then runs case-by-case
-    /// with trial-level parallelism inside, so the thread pool is never
-    /// oversubscribed by nested fan-outs. Per-case errors pass through
-    /// untouched.
-    pub fn explain_batch_validated(
-        &self,
-        cases: &[Case<'_>],
-        runner: &dyn InterventionRunner,
-        cfg: &InterventionConfig,
-    ) -> Vec<Result<(Explanation, InterventionReport), SherlockError>> {
-        self.explain_batch(cases)
-            .into_iter()
-            .map(|result| {
-                result.map(|mut explanation| {
-                    let report = validate_explanation(&mut explanation, runner, &self.params, cfg);
-                    (explanation, report)
-                })
-            })
-            .collect()
-    }
-
     /// The user confirmed `cause` for an anomaly whose explanation carried
     /// `predicates`: store (and possibly merge) the causal model.
     pub fn feedback(&mut self, cause: &str, predicates: &[GeneratedPredicate]) {
         self.repository.add(CausalModel::from_feedback(cause, predicates));
-    }
-
-    /// [`feedback`](Self::feedback) that also records the remediation the
-    /// DBA applied and whether it resolved the incident (paper §10's
-    /// future work: stored actions become suggestions).
-    pub fn feedback_with_action(
-        &mut self,
-        cause: &str,
-        predicates: &[GeneratedPredicate],
-        action: &str,
-        resolved: bool,
-    ) {
-        self.feedback(cause, predicates);
-        self.actions.record(cause, action, resolved);
-    }
-
-    /// Remembered remediations for a cause, best success rate first.
-    pub fn suggested_actions(&self, cause: &str) -> Vec<&Remediation> {
-        self.actions.suggestions(cause)
-    }
-
-    /// The remediation memory.
-    pub fn action_log(&self) -> &ActionLog {
-        &self.actions
     }
 
     /// Automatic anomaly detection (§7). Advisory: an over-budget or
@@ -358,6 +255,34 @@ impl Sherlock {
         let armed = self.params.budget.arm();
         try_detect_anomaly(dataset, &self.params, &armed)
     }
+}
+
+/// The region preamble of every explain path: reject an empty dataset,
+/// clip both regions to the rows that actually exist (with degraded
+/// telemetry they may reference rows that lossy ingestion dropped), default
+/// `normal` to the complement of `abnormal`, and reject a region that clips
+/// to nothing.
+fn clip_regions(
+    dataset: &Dataset,
+    abnormal: &Region,
+    normal: Option<&Region>,
+) -> Result<(Region, Region), SherlockError> {
+    let n_rows = dataset.n_rows();
+    if n_rows == 0 {
+        return Err(SherlockError::EmptyInput("dataset"));
+    }
+    let abnormal = abnormal.clip(n_rows);
+    if abnormal.is_empty() {
+        return Err(SherlockError::EmptyRegion { what: "abnormal", n_rows });
+    }
+    let normal = match normal {
+        Some(region) => region.clip(n_rows),
+        None => abnormal.complement(n_rows),
+    };
+    if normal.is_empty() {
+        return Err(SherlockError::EmptyRegion { what: "normal", n_rows });
+    }
+    Ok((abnormal, normal))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! to an `Attr ∈ {...}` predicate (directly after labeling; no filtering
 //! or gap-filling).
 
-use dbsherlock_telemetry::{stats, Dataset, Dictionary, Region};
+use dbsherlock_telemetry::{stats, Dictionary, Region};
 
 use crate::partition::{PartitionLabel, PartitionSpace};
 use crate::predicate::Predicate;
@@ -41,22 +41,12 @@ pub fn single_abnormal_block(labels: &[PartitionLabel]) -> Option<std::ops::Rang
 /// Normalized mean difference `d = |µ_A − µ_N|` of a numeric attribute
 /// (paper Eq. 2 + §4.5). Returns `None` when either region contributes no
 /// finite values.
-pub fn normalized_mean_difference(
-    dataset: &Dataset,
-    attr_id: usize,
-    abnormal: &Region,
-    normal: &Region,
-) -> Option<f64> {
-    let values = dataset.numeric(attr_id)?;
-    let range = dataset.numeric_range(attr_id).ok()?;
-    normalized_mean_difference_view(values, range, abnormal, normal)
-}
-
-/// Columnar [`normalized_mean_difference`] kernel: a fused
-/// normalize-and-sum scan per region over the attribute-contiguous slice
-/// (no intermediate buffers), with `range` supplied by the caller — the
-/// snapshot's memoized `(min, max)` on the hot path. Summation order is
-/// the region's index order, matching the buffered form bit for bit.
+///
+/// A fused normalize-and-sum scan per region over the attribute-contiguous
+/// slice (no intermediate buffers), with `range` supplied by the caller —
+/// the snapshot's memoized `(min, max)` on the hot path. Summation order is
+/// the region's index order, matching the buffered form of the `scalar`
+/// shim bit for bit.
 pub fn normalized_mean_difference_view(
     values: &[f64],
     (min, max): (f64, f64),
@@ -108,19 +98,8 @@ pub fn extract_numeric(
     }
 }
 
-/// Extract the categorical candidate predicate: all `Abnormal` categories.
-pub fn extract_categorical(
-    attr_name: &str,
-    dataset: &Dataset,
-    attr_id: usize,
-    labels: &[PartitionLabel],
-) -> Option<Predicate> {
-    let (_, dict) = dataset.categorical(attr_id).ok()?;
-    extract_categorical_view(attr_name, dict, labels)
-}
-
-/// [`extract_categorical`] against an already-resolved dictionary (the
-/// snapshot path).
+/// Extract the categorical candidate predicate: all `Abnormal` categories
+/// of the attribute's dictionary.
 pub fn extract_categorical_view(
     attr_name: &str,
     dict: &Dictionary,
@@ -143,7 +122,7 @@ pub fn extract_categorical_view(
 mod tests {
     use super::*;
     use crate::partition::PartitionLabel::{Abnormal as A, Normal as N};
-    use dbsherlock_telemetry::{AttributeMeta, Schema, Value};
+    use dbsherlock_telemetry::{AttributeMeta, Dataset, Schema, Value};
 
     fn space_0_100(r: usize) -> PartitionSpace {
         PartitionSpace::Numeric { min: 0.0, max: 100.0, r }
@@ -201,10 +180,11 @@ mod tests {
         }
         let normal = Region::from_range(0..5);
         let abnormal = Region::from_range(5..10);
-        let diff = normalized_mean_difference(&d, 0, &abnormal, &normal).unwrap();
+        let (values, range) = (d.numeric(0).unwrap(), d.numeric_range(0).unwrap());
+        let diff = normalized_mean_difference_view(values, range, &abnormal, &normal).unwrap();
         assert!(diff > 0.8, "diff {diff}");
         // Empty region yields None.
-        assert!(normalized_mean_difference(&d, 0, &Region::new(), &normal).is_none());
+        assert!(normalized_mean_difference_view(values, range, &Region::new(), &normal).is_none());
     }
 
     #[test]
@@ -216,8 +196,9 @@ mod tests {
             d.push_row(0.0, &[v]).unwrap();
         }
         let labels = [A, N, A];
-        let p = extract_categorical("c", &d, 0, &labels).unwrap();
+        let (_, dict) = d.categorical(0).unwrap();
+        let p = extract_categorical_view("c", dict, &labels).unwrap();
         assert_eq!(p, Predicate::in_set("c", ["a".to_string(), "c".to_string()]));
-        assert_eq!(extract_categorical("c", &d, 0, &[N, N, N]), None);
+        assert_eq!(extract_categorical_view("c", dict, &[N, N, N]), None);
     }
 }

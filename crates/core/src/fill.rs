@@ -14,27 +14,14 @@
 //! *average attribute value over the normal-region tuples* as `Normal`
 //! first, then fills.
 
-use dbsherlock_telemetry::{stats, Dataset, Region};
+use dbsherlock_telemetry::{stats, Region};
 
 use crate::partition::{PartitionLabel, PartitionSpace};
 
 /// Fill gaps in `labels`, honouring the anomaly distance multiplier.
-/// `dataset`/`attr_id`/`normal` supply the normal-region average for the
-/// all-Abnormal special case.
-pub fn fill_gaps(
-    labels: &[PartitionLabel],
-    delta: f64,
-    dataset: &Dataset,
-    attr_id: usize,
-    space: &PartitionSpace,
-    normal: &Region,
-) -> Vec<PartitionLabel> {
-    fill_gaps_view(labels, delta, dataset.numeric(attr_id).unwrap_or(&[]), space, normal)
-}
-
-/// [`fill_gaps`] over an already-resolved numeric slice (the snapshot
-/// path). An empty slice disables the all-Abnormal anchoring, matching
-/// the kind-mismatch behaviour of the dataset form.
+/// `values` (the attribute's numeric column) and `normal` supply the
+/// normal-region average for the all-Abnormal special case; an empty slice
+/// disables that anchoring.
 pub fn fill_gaps_view(
     labels: &[PartitionLabel],
     delta: f64,
@@ -148,7 +135,7 @@ fn fill(labels: &[PartitionLabel], delta: f64) -> Vec<PartitionLabel> {
 mod tests {
     use super::*;
     use crate::partition::PartitionLabel::{Abnormal as A, Empty as E, Normal as N};
-    use dbsherlock_telemetry::{AttributeMeta, Schema, Value};
+    use dbsherlock_telemetry::{AttributeMeta, Dataset, Schema, Value};
 
     fn dummy_context() -> (Dataset, PartitionSpace, Region) {
         let schema = Schema::from_attrs([AttributeMeta::numeric("x")]).unwrap();
@@ -166,7 +153,7 @@ mod tests {
         // Pad/truncate label vec to the space size for the helper call.
         let mut padded = labels.to_vec();
         padded.resize(space.len(), E);
-        fill_gaps(&padded, delta, &d, 0, &space, &normal)
+        fill_gaps_view(&padded, delta, d.numeric(0).unwrap(), &space, &normal)
     }
 
     #[test]

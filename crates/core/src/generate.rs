@@ -10,7 +10,7 @@ use dbsherlock_telemetry::{AttributeKind, AttributeMeta, ColumnarSnapshot, Datas
 
 use crate::budget::ArmedBudget;
 use crate::error::SherlockError;
-use crate::exec::{par_map_indexed, try_par_map_indexed};
+use crate::exec::try_par_map_indexed;
 use crate::extract::{extract_categorical_view, extract_numeric, normalized_mean_difference_view};
 use crate::fill::fill_gaps_view;
 use crate::filter::filter_partitions;
@@ -42,80 +42,54 @@ pub struct AblationFlags {
     pub skip_filling: bool,
 }
 
-/// Generate the predicate conjunction explaining `abnormal` vs `normal`.
+/// Generate the predicate conjunction explaining `abnormal` vs `normal`:
+/// [`try_generate_predicates`] over a fresh snapshot, with every step
+/// enabled and no budget.
+///
+/// A panic inside Algorithm 1 is raised again here; it never comes back as
+/// an empty conjunction.
 pub fn generate_predicates(
     dataset: &Dataset,
     abnormal: &Region,
     normal: &Region,
     params: &SherlockParams,
 ) -> Vec<GeneratedPredicate> {
-    generate_predicates_ablated(dataset, abnormal, normal, params, AblationFlags::default())
-}
-
-/// [`generate_predicates`] with individual pipeline steps disabled
-/// (Appendix D's "without Partition Filtering / Filling the Gaps" rows).
-pub fn generate_predicates_ablated(
-    dataset: &Dataset,
-    abnormal: &Region,
-    normal: &Region,
-    params: &SherlockParams,
-    ablation: AblationFlags,
-) -> Vec<GeneratedPredicate> {
-    generate_predicates_snapshot(&dataset.snapshot(), abnormal, normal, params, ablation)
-}
-
-/// [`generate_predicates_ablated`] over a pinned [`ColumnarSnapshot`]:
-/// the columnar entry point. Callers running several stages against the
-/// same dataset (e.g. `Sherlock::explain_*`) build one snapshot per case
-/// so every kernel shares the memoized range cache.
-pub fn generate_predicates_snapshot(
-    snapshot: &ColumnarSnapshot<'_>,
-    abnormal: &Region,
-    normal: &Region,
-    params: &SherlockParams,
-    ablation: AblationFlags,
-) -> Vec<GeneratedPredicate> {
-    // Regions may have been defined over a healthier version of the data:
-    // lossy ingestion drops rows, so clip before any column indexing.
-    let abnormal = &abnormal.clip(snapshot.n_rows());
-    let normal = &normal.clip(snapshot.n_rows());
-    if abnormal.is_empty() || normal.is_empty() {
-        return Vec::new();
+    let snapshot = dataset.snapshot();
+    let unlimited = ArmedBudget::unlimited();
+    match try_generate_predicates(
+        &snapshot,
+        abnormal,
+        normal,
+        params,
+        AblationFlags::default(),
+        &unlimited,
+    ) {
+        Ok(predicates) => predicates,
+        // An unlimited budget never expires or cancels, so the only error
+        // is a panic caught at an attribute's slot.
+        // sherlock-lint: allow(panic-path): re-raises a caught pipeline panic
+        Err(e) => panic!("{e}"),
     }
-    // Each attribute is an independent run of Algorithm 1, so the schema
-    // fans out across the thread budget; collecting by index keeps the
-    // output in schema order, identical to the serial loop.
-    let attrs: Vec<(usize, &AttributeMeta)> = snapshot.schema().iter().collect();
-    par_map_indexed(params.exec, &attrs, |_, &(attr_id, attr)| {
-        extract_for_attribute(snapshot, attr_id, attr, abnormal, normal, params, ablation)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
-/// [`generate_predicates`] under a [`DiagnosisBudget`](crate::DiagnosisBudget):
-/// the budget is checked before each attribute's run of Algorithm 1, and a
-/// panic while processing any attribute is caught at that slot instead of
-/// tearing down the caller. The first failure aborts the case (a partial
-/// predicate conjunction would be a *wrong* answer, not a degraded one);
-/// within budget, output is bit-identical to [`generate_predicates`].
+/// Algorithm 1 over a pinned [`ColumnarSnapshot`], under a
+/// [`DiagnosisBudget`](crate::DiagnosisBudget), with the Appendix D steps
+/// switched by `ablation`. Callers running several stages against the same
+/// dataset (`Sherlock::explain_*`) build one snapshot per case so every
+/// kernel shares the memoized range cache.
+///
+/// The regions are clipped to the snapshot's rows first (lossy ingestion
+/// drops rows); if either clips to nothing there is nothing to generate.
+/// The budget is checked before each attribute's run, and a panic while
+/// processing any attribute is caught at that slot. The first failure
+/// aborts the case: a partial conjunction would be a *wrong* answer, not a
+/// degraded one.
 pub fn try_generate_predicates(
-    dataset: &Dataset,
-    abnormal: &Region,
-    normal: &Region,
-    params: &SherlockParams,
-    budget: &ArmedBudget,
-) -> Result<Vec<GeneratedPredicate>, SherlockError> {
-    try_generate_predicates_snapshot(&dataset.snapshot(), abnormal, normal, params, budget)
-}
-
-/// [`try_generate_predicates`] over a pinned [`ColumnarSnapshot`].
-pub fn try_generate_predicates_snapshot(
     snapshot: &ColumnarSnapshot<'_>,
     abnormal: &Region,
     normal: &Region,
     params: &SherlockParams,
+    ablation: AblationFlags,
     budget: &ArmedBudget,
 ) -> Result<Vec<GeneratedPredicate>, SherlockError> {
     let abnormal = &abnormal.clip(snapshot.n_rows());
@@ -123,18 +97,13 @@ pub fn try_generate_predicates_snapshot(
     if abnormal.is_empty() || normal.is_empty() {
         return Ok(Vec::new());
     }
+    // Each attribute is an independent run of Algorithm 1, so the schema
+    // fans out across the thread budget; collecting by index keeps the
+    // output in schema order, identical to the serial loop.
     let attrs: Vec<(usize, &AttributeMeta)> = snapshot.schema().iter().collect();
     let per_attr = try_par_map_indexed(params.exec, "generate", &attrs, |_, &(attr_id, attr)| {
         budget.check("generate")?;
-        Ok(extract_for_attribute(
-            snapshot,
-            attr_id,
-            attr,
-            abnormal,
-            normal,
-            params,
-            AblationFlags::default(),
-        ))
+        Ok(extract_for_attribute(snapshot, attr_id, attr, abnormal, normal, params, ablation))
     });
     let mut predicates = Vec::new();
     for slot in per_attr {
@@ -292,9 +261,16 @@ mod tests {
         let (d, abnormal, normal) = dataset();
         let params = SherlockParams::default();
         let plain = generate_predicates(&d, &abnormal, &normal, &params);
-        let budgeted =
-            try_generate_predicates(&d, &abnormal, &normal, &params, &ArmedBudget::unlimited())
-                .unwrap();
+        let armed = crate::budget::DiagnosisBudget::unlimited().with_deadline_ms(60_000).arm();
+        let budgeted = try_generate_predicates(
+            &d.snapshot(),
+            &abnormal,
+            &normal,
+            &params,
+            AblationFlags::default(),
+            &armed,
+        )
+        .unwrap();
         assert_eq!(plain, budgeted);
     }
 
@@ -303,7 +279,14 @@ mod tests {
         let (d, abnormal, normal) = dataset();
         let params = SherlockParams::default();
         let armed = crate::budget::DiagnosisBudget::unlimited().with_deadline_ms(0).arm();
-        let result = try_generate_predicates(&d, &abnormal, &normal, &params, &armed);
+        let result = try_generate_predicates(
+            &d.snapshot(),
+            &abnormal,
+            &normal,
+            &params,
+            AblationFlags::default(),
+            &armed,
+        );
         assert!(matches!(result, Err(SherlockError::DeadlineExceeded { stage: "generate", .. })));
     }
 
@@ -312,13 +295,15 @@ mod tests {
         let (d, abnormal, normal) = dataset();
         let params = SherlockParams::default();
         let full = generate_predicates(&d, &abnormal, &normal, &params);
-        let no_fill = generate_predicates_ablated(
-            &d,
+        let no_fill = try_generate_predicates(
+            &d.snapshot(),
             &abnormal,
             &normal,
             &params,
             AblationFlags { skip_filling: true, ..Default::default() },
-        );
+            &ArmedBudget::unlimited(),
+        )
+        .unwrap();
         // Without gap filling, the block structure is fragmented by Empty
         // partitions, so the numeric predicate disappears (or at best gets
         // no stronger).

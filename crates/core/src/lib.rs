@@ -46,7 +46,6 @@
 //! assert_eq!(again.top_cause().unwrap().cause, "runaway batch job");
 //! ```
 
-pub mod actions;
 pub mod argv;
 pub mod budget;
 pub mod causal;
@@ -73,7 +72,6 @@ pub mod scalar;
 pub mod separation;
 pub mod store;
 
-pub use actions::{ActionLog, AutoAction, AutoRemediationPolicy, Decision, Remediation};
 pub use argv::ArgScan;
 pub use budget::{ArmedBudget, CancelFlag, DiagnosisBudget};
 pub use causal::{Accuracy, CausalModel, ModelRepository, RankedCause};
@@ -83,8 +81,7 @@ pub use domain::{independence_factor, DomainKnowledge, Rule};
 pub use error::SherlockError;
 pub use exec::{par_map_indexed, try_par_map_indexed, ExecPolicy};
 pub use generate::{
-    generate_predicates, generate_predicates_ablated, generate_predicates_snapshot,
-    try_generate_predicates, try_generate_predicates_snapshot, AblationFlags, GeneratedPredicate,
+    generate_predicates, try_generate_predicates, AblationFlags, GeneratedPredicate,
 };
 pub use intervene::{
     attempt_seed, trial_seed, validate_explanation, CauseVerdict, InterventionConfig,

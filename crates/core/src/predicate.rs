@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use dbsherlock_telemetry::{ColumnView, Dataset, Dictionary};
+use dbsherlock_telemetry::{ColumnView, Dictionary};
 use serde::{Deserialize, Serialize};
 
 /// The comparison a predicate applies to its attribute.
@@ -92,35 +92,12 @@ impl Predicate {
         Predicate { attr: attr.into(), op: PredicateOp::InSet(labels.into_iter().collect()) }
     }
 
-    /// Evaluate against row `row` of `dataset`. Unknown attributes, kind
-    /// mismatches, and out-of-range rows evaluate to `false` (a predicate
-    /// about an attribute a dataset lacks cannot support an anomaly
-    /// there). Prefer [`fill_mask`](Self::fill_mask) /
-    /// [`selectivity`](Self::selectivity) when evaluating more than a
-    /// handful of rows: they resolve the attribute once per column.
-    pub fn matches_row(&self, dataset: &Dataset, row: usize) -> bool {
-        let Some(attr_id) = dataset.schema().id_of(&self.attr) else {
-            return false;
-        };
-        match dataset.column(attr_id) {
-            ColumnView::Numeric(v) => {
-                v.as_slice().get(row).map(|&x| self.op.matches_num(x)).unwrap_or(false)
-            }
-            ColumnView::Categorical(c) => c
-                .ids
-                .get(row)
-                .and_then(|&id| c.dict.label(id))
-                .map(|l| self.op.matches_label(l))
-                .unwrap_or(false),
-        }
-    }
-
     /// Columnar evaluation primitive: fill `mask[i] = row i satisfies
     /// self` over a whole column view. Attribute kind dispatch and
     /// dictionary lookups happen once per column; the loop per op is a
     /// branch-light scan of the attribute-contiguous slice. Kind
-    /// mismatches fill `false` (same policy as
-    /// [`matches_row`](Self::matches_row)).
+    /// mismatches fill `false`: a predicate about an attribute of the
+    /// other kind cannot support an anomaly there.
     pub fn fill_mask(&self, view: ColumnView<'_>, mask: &mut Vec<bool>) {
         mask.clear();
         match view {
@@ -147,57 +124,6 @@ impl Predicate {
             }
         }
     }
-
-    /// Fraction of the rows in `rows` that satisfy the predicate
-    /// (`|Pred(T)| / |T|` in the paper's notation); `0.0` for no rows or
-    /// an unknown attribute.
-    pub fn selectivity(&self, dataset: &Dataset, rows: &[usize]) -> f64 {
-        let Some(attr_id) = dataset.schema().id_of(&self.attr) else {
-            return 0.0;
-        };
-        self.selectivity_view(dataset.column(attr_id), rows)
-    }
-
-    /// [`selectivity`](Self::selectivity) over an already-resolved column
-    /// view: the hot-path form, with the op dispatch hoisted out of the
-    /// row loop. Out-of-range rows count as non-matching.
-    pub fn selectivity_view(&self, view: ColumnView<'_>, rows: &[usize]) -> f64 {
-        if rows.is_empty() {
-            return 0.0;
-        }
-        let hits = match view {
-            ColumnView::Numeric(v) => {
-                let values = v.as_slice();
-                let count = |pred: &dyn Fn(f64) -> bool| {
-                    rows.iter()
-                        .filter(|&&r| values.get(r).map(|&v| pred(v)).unwrap_or(false))
-                        .count()
-                };
-                match self.op {
-                    PredicateOp::Lt(x) => count(&|v| v < x),
-                    PredicateOp::Gt(x) => count(&|v| v > x),
-                    PredicateOp::Between(lo, hi) => count(&|v| lo < v && v < hi),
-                    PredicateOp::InSet(_) => 0,
-                }
-            }
-            ColumnView::Categorical(c) => {
-                if self.op.is_numeric() {
-                    0
-                } else {
-                    let table = self.op.category_table(c.dict);
-                    rows.iter()
-                        .filter(|&&r| {
-                            c.ids
-                                .get(r)
-                                .map(|&id| table.get(id as usize).copied().unwrap_or(false))
-                                .unwrap_or(false)
-                        })
-                        .count()
-                }
-            }
-        };
-        hits as f64 / rows.len() as f64
-    }
 }
 
 impl fmt::Display for Predicate {
@@ -222,7 +148,7 @@ pub fn display_conjunction(predicates: &[Predicate]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbsherlock_telemetry::{AttributeMeta, Schema, Value};
+    use dbsherlock_telemetry::{AttributeMeta, Dataset, Schema, Value};
 
     fn dataset() -> Dataset {
         let schema = Schema::from_attrs([
@@ -259,37 +185,37 @@ mod tests {
         assert!(!PredicateOp::Lt(1.0).matches_label("a"));
     }
 
+    /// [`Predicate::fill_mask`] over column `attr_id` of `d`.
+    fn mask(p: &Predicate, d: &Dataset, attr_id: usize) -> Vec<bool> {
+        let mut mask = Vec::new();
+        p.fill_mask(d.column(attr_id), &mut mask);
+        mask
+    }
+
     #[test]
     fn matches_rows_of_dataset() {
         let d = dataset();
-        let p = Predicate::gt("cpu", 40.0);
-        assert!(!p.matches_row(&d, 0));
-        assert!(p.matches_row(&d, 1));
+        assert_eq!(mask(&Predicate::gt("cpu", 40.0), &d, 0), [false, true, true]);
         let q = Predicate::in_set("state", ["rotating".to_string()]);
-        assert!(!q.matches_row(&d, 0));
-        assert!(q.matches_row(&d, 1));
+        assert_eq!(mask(&q, &d, 1), [false, true, false]);
     }
 
     #[test]
     fn unknown_attribute_never_matches() {
         let d = dataset();
-        assert!(!Predicate::gt("nope", 0.0).matches_row(&d, 0));
+        let all = dbsherlock_telemetry::Region::from_range(0..3);
+        let none = dbsherlock_telemetry::Region::new();
+        let sp = |p: &Predicate| crate::separation::separation_power(p, &d, &all, &none);
+        assert_eq!(sp(&Predicate::gt("cpu", 0.0)), 1.0);
+        assert_eq!(sp(&Predicate::gt("nope", 0.0)), 0.0);
     }
 
     #[test]
     fn kind_mismatch_never_matches() {
         let d = dataset();
         // Numeric predicate over categorical attribute and vice versa.
-        assert!(!Predicate::gt("state", 0.0).matches_row(&d, 0));
-        assert!(!Predicate::in_set("cpu", ["steady".to_string()]).matches_row(&d, 0));
-    }
-
-    #[test]
-    fn selectivity_counts_fractions() {
-        let d = dataset();
-        let p = Predicate::gt("cpu", 40.0);
-        assert_eq!(p.selectivity(&d, &[0, 1, 2]), 2.0 / 3.0);
-        assert_eq!(p.selectivity(&d, &[]), 0.0);
+        assert_eq!(mask(&Predicate::gt("state", 0.0), &d, 1), [false; 3]);
+        assert_eq!(mask(&Predicate::in_set("cpu", ["steady".to_string()]), &d, 0), [false; 3]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Row-wise reference implementations of the diagnosis kernels.
 //!
-//! This is the pre-columnar hot path, preserved verbatim as an executable
-//! specification: every kernel walks the dataset cell by cell through
-//! [`Dataset::value`], paying the column-enum dispatch per row that the
-//! columnar kernels in [`label`](crate::label), [`predicate`](crate::predicate),
+//! This is the pre-columnar hot path, preserved as an executable
+//! specification: every kernel walks the dataset cell by cell through a
+//! private per-cell accessor, paying the column-enum dispatch per row that
+//! the columnar kernels in [`label`](crate::label), [`predicate`](crate::predicate),
 //! [`separation`](crate::separation), and [`generate`](crate::generate)
 //! hoist out of their loops. The columnar rewrite is required to be
 //! **bit-identical** to this module on valid inputs — the determinism
@@ -13,42 +13,48 @@
 //! Compiled only for tests and under the `scalar-shim` feature; production
 //! builds carry no row-wise code.
 
-#![allow(deprecated)] // the whole point of this module is per-cell `value()`
-
-use dbsherlock_telemetry::{AttributeKind, Dataset, Region, Value};
+use dbsherlock_telemetry::{AttributeKind, ColumnView, Dataset, Region, Value};
 
 use crate::causal::{CausalModel, ModelRepository, RankedCause};
-use crate::extract::{extract_categorical, extract_numeric};
-use crate::fill::fill_gaps;
+use crate::extract::{extract_categorical_view, extract_numeric};
+use crate::fill::fill_gaps_view;
 use crate::filter::filter_partitions;
-use crate::generate::{AblationFlags, GeneratedPredicate};
+use crate::generate::GeneratedPredicate;
 use crate::params::SherlockParams;
 use crate::partition::{PartitionLabel, PartitionSpace};
 use crate::predicate::Predicate;
-use crate::separation::partition_satisfies;
 
-/// Row-wise [`Predicate::matches_row`]: one `value()` dispatch (and, for
-/// categorical attributes, one dictionary lookup) per call.
+/// The cell at `(row, attr_id)`, with the column-enum dispatch paid per
+/// call: the access shape every kernel below is built on. `None` outside
+/// the dataset.
+fn value(dataset: &Dataset, row: usize, attr_id: usize) -> Option<Value> {
+    match dataset.column(attr_id) {
+        ColumnView::Numeric(v) => v.as_slice().get(row).map(|&x| Value::Num(x)),
+        ColumnView::Categorical(c) => c.ids.get(row).map(|&id| Value::Cat(id)),
+    }
+}
+
+/// Does `predicate` hold at `row`? One [`value`] dispatch (and, for
+/// categorical attributes, one dictionary lookup) per call. Unknown
+/// attributes, kind mismatches and out-of-range rows evaluate to `false`.
 pub fn matches_row(predicate: &Predicate, dataset: &Dataset, row: usize) -> bool {
     let Some(attr_id) = dataset.schema().id_of(&predicate.attr) else {
         return false;
     };
-    if row >= dataset.n_rows() {
-        return false;
-    }
-    match dataset.value(row, attr_id) {
-        Value::Num(v) => predicate.op.matches_num(v),
-        Value::Cat(id) => {
+    match value(dataset, row, attr_id) {
+        Some(Value::Num(v)) => predicate.op.matches_num(v),
+        Some(Value::Cat(id)) => {
             let Ok((_, dict)) = dataset.categorical(attr_id) else {
                 return false;
             };
             dict.label(id).map(|l| predicate.op.matches_label(l)).unwrap_or(false)
         }
+        None => false,
     }
 }
 
-/// Row-wise [`Predicate::selectivity`]: one [`matches_row`] per row, with
-/// the attribute re-resolved every time.
+/// Fraction of `rows` satisfying `predicate`: one [`matches_row`] per row,
+/// with the attribute re-resolved every time.
 pub fn selectivity(predicate: &Predicate, dataset: &Dataset, rows: &[usize]) -> f64 {
     if rows.is_empty() {
         return 0.0;
@@ -68,7 +74,7 @@ pub fn separation_power(
         - selectivity(predicate, dataset, normal.indices())
 }
 
-/// Row-wise §4.2 labeling: one `value()` dispatch per (region row), then
+/// Row-wise §4.2 labeling: one [`value`] dispatch per (region row), then
 /// the same purity/majority fold as the columnar kernel.
 pub fn label_partitions(
     dataset: &Dataset,
@@ -81,7 +87,7 @@ pub fn label_partitions(
         if row >= dataset.n_rows() || attr_id >= dataset.schema().len() {
             return None;
         }
-        match (space, dataset.value(row, attr_id)) {
+        match (space, value(dataset, row, attr_id)?) {
             (PartitionSpace::Numeric { .. }, Value::Num(v)) => space.index_of_num(v),
             (PartitionSpace::Categorical { .. }, Value::Cat(id)) => {
                 ((id as usize) < space.len()).then_some(id as usize)
@@ -120,6 +126,29 @@ pub fn label_partitions(
             },
         })
         .collect()
+}
+
+/// Does partition `j` of `space` satisfy `predicate`? The midpoint for
+/// numeric spaces, the category label for categorical ones (see
+/// [`partition_separation_power`](crate::separation::partition_separation_power)).
+fn partition_satisfies(
+    predicate: &Predicate,
+    space: &PartitionSpace,
+    dataset: &Dataset,
+    attr_id: usize,
+    j: usize,
+) -> bool {
+    match space {
+        PartitionSpace::Numeric { .. } => {
+            space.midpoint(j).map(|m| predicate.op.matches_num(m)).unwrap_or(false)
+        }
+        PartitionSpace::Categorical { .. } => {
+            let Ok((_, dict)) = dataset.categorical(attr_id) else {
+                return false;
+            };
+            dict.label(j as u32).map(|l| predicate.op.matches_label(l)).unwrap_or(false)
+        }
+    }
 }
 
 /// Row-wise partition-space separation power (one Eq. 3 term): one
@@ -178,12 +207,7 @@ pub fn normalized_mean_difference(
         let values: Vec<f64> = region
             .indices()
             .iter()
-            .filter_map(|&r| {
-                if r >= dataset.n_rows() {
-                    return None;
-                }
-                dataset.value(r, attr_id).as_num()
-            })
+            .filter_map(|&r| value(dataset, r, attr_id)?.as_num())
             .filter(|v| v.is_finite())
             .map(|v| dbsherlock_telemetry::stats::normalize(v, min, max))
             .collect();
@@ -208,17 +232,6 @@ pub fn generate_predicates(
     normal: &Region,
     params: &SherlockParams,
 ) -> Vec<GeneratedPredicate> {
-    generate_predicates_ablated(dataset, abnormal, normal, params, AblationFlags::default())
-}
-
-/// [`generate_predicates`] with pipeline steps disabled.
-pub fn generate_predicates_ablated(
-    dataset: &Dataset,
-    abnormal: &Region,
-    normal: &Region,
-    params: &SherlockParams,
-    ablation: AblationFlags,
-) -> Vec<GeneratedPredicate> {
     let abnormal = &abnormal.clip(dataset.n_rows());
     let normal = &normal.clip(dataset.n_rows());
     if abnormal.is_empty() || normal.is_empty() {
@@ -232,13 +245,9 @@ pub fn generate_predicates_ablated(
             let labels = label_partitions(dataset, attr_id, &space, abnormal, normal);
             match attr.kind {
                 AttributeKind::Numeric => {
-                    let filtered =
-                        if ablation.skip_filtering { labels } else { filter_partitions(&labels) };
-                    let filled = if ablation.skip_filling {
-                        filtered
-                    } else {
-                        fill_gaps(&filtered, params.delta, dataset, attr_id, &space, normal)
-                    };
+                    let filtered = filter_partitions(&labels);
+                    let values = dataset.numeric(attr_id).unwrap_or(&[]);
+                    let filled = fill_gaps_view(&filtered, params.delta, values, &space, normal);
                     let d = normalized_mean_difference(dataset, attr_id, abnormal, normal)?;
                     if d <= params.theta {
                         return None;
@@ -252,7 +261,8 @@ pub fn generate_predicates_ablated(
                     })
                 }
                 AttributeKind::Categorical => {
-                    let predicate = extract_categorical(&attr.name, dataset, attr_id, &labels)?;
+                    let (_, dict) = dataset.categorical(attr_id).ok()?;
+                    let predicate = extract_categorical_view(&attr.name, dict, &labels)?;
                     let sp = separation_power(&predicate, dataset, abnormal, normal);
                     (sp >= params.min_separation_power).then_some(GeneratedPredicate {
                         predicate,

@@ -3,7 +3,7 @@
 use dbsherlock_telemetry::{ColumnView, Dataset, Region};
 
 use crate::partition::{PartitionLabel, PartitionSpace};
-use crate::predicate::{Predicate, PredicateOp};
+use crate::predicate::Predicate;
 
 /// Tuple-level separation power (Eq. 1):
 /// `SP(Pred) = |Pred(T_A)| / |T_A|  −  |Pred(T_N)| / |T_N|`, in `[-1, 1]`.
@@ -42,40 +42,18 @@ pub fn separation_power_view(
     frac(abnormal) - frac(normal)
 }
 
-/// Does partition `j` of `space` satisfy `predicate`?
-///
-/// The paper's confidence definition (Eq. 3) needs `Pred(P)` — "the set of
-/// partitions in P that satisfy predicate Pred" — without pinning down
-/// what it means for an interval partition to satisfy an interval
-/// predicate. We test the partition's *midpoint* for numeric spaces (a
-/// partition is far narrower than any predicate of interest at the default
-/// R, so midpoint vs. overlap is immaterial) and the partition's category
-/// label for categorical spaces.
-pub fn partition_satisfies(
-    predicate: &Predicate,
-    space: &PartitionSpace,
-    dataset: &Dataset,
-    attr_id: usize,
-    j: usize,
-) -> bool {
-    match space {
-        PartitionSpace::Numeric { .. } => {
-            space.midpoint(j).map(|m| predicate.op.matches_num(m)).unwrap_or(false)
-        }
-        PartitionSpace::Categorical { .. } => {
-            let Ok((_, dict)) = dataset.categorical(attr_id) else {
-                return false;
-            };
-            dict.label(j as u32).map(|l| predicate.op.matches_label(l)).unwrap_or(false)
-        }
-    }
-}
-
 /// Partition-space separation power — one term of the causal-model
 /// confidence (Eq. 3):
 /// `|Pred(P_A)| / |P_A| − |Pred(P_N)| / |P_N|` over the *labeled*
 /// partitions of the diagnosis-time dataset. A side with no partitions
 /// contributes `0` to its ratio.
+///
+/// The paper defines `Pred(P)` as "the set of partitions in P that satisfy
+/// predicate Pred" without pinning down what it means for an interval
+/// partition to satisfy an interval predicate. We test the partition's
+/// *midpoint* for numeric spaces (a partition is far narrower than any
+/// predicate of interest at the default R, so midpoint vs. overlap is
+/// immaterial) and the partition's category label for categorical spaces.
 pub fn partition_separation_power(
     predicate: &Predicate,
     space: &PartitionSpace,
@@ -130,16 +108,6 @@ pub fn partition_separation_power(
     ratio(abnormal_hits, abnormal_total) - ratio(normal_hits, normal_total)
 }
 
-/// Sanity helper: a predicate op directed "upwards" (`Gt`) vs "downwards"
-/// (`Lt`); `Between`/`InSet` are direction-free. Used by model merging.
-pub fn numeric_direction(op: &PredicateOp) -> Option<bool> {
-    match op {
-        PredicateOp::Gt(_) => Some(true),
-        PredicateOp::Lt(_) => Some(false),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,13 +144,17 @@ mod tests {
 
     #[test]
     fn partition_satisfaction_uses_midpoints() {
+        use crate::partition::PartitionLabel::{Abnormal as A, Empty as E};
         let space = PartitionSpace::Numeric { min: 0.0, max: 100.0, r: 10 };
         let d = dataset(&[0.0, 100.0]);
         let p = Predicate::gt("x", 45.0);
+        let only = |j: usize| -> Vec<PartitionLabel> {
+            (0..10).map(|i| if i == j { A } else { E }).collect()
+        };
         // Partition 4 covers [40,50): midpoint 45 -> not > 45.
-        assert!(!partition_satisfies(&p, &space, &d, 0, 4));
+        assert_eq!(partition_separation_power(&p, &space, &only(4), &d, 0), 0.0);
         // Partition 5 covers [50,60): midpoint 55 -> satisfied.
-        assert!(partition_satisfies(&p, &space, &d, 0, 5));
+        assert_eq!(partition_separation_power(&p, &space, &only(5), &d, 0), 1.0);
     }
 
     #[test]
@@ -208,13 +180,5 @@ mod tests {
         let labels = [E, A];
         let p = Predicate::gt("x", 50.0);
         assert_eq!(partition_separation_power(&p, &space, &labels, &d, 0), 1.0);
-    }
-
-    #[test]
-    fn directions() {
-        assert_eq!(numeric_direction(&PredicateOp::Gt(1.0)), Some(true));
-        assert_eq!(numeric_direction(&PredicateOp::Lt(1.0)), Some(false));
-        assert_eq!(numeric_direction(&PredicateOp::Between(0.0, 1.0)), None);
-        assert_eq!(numeric_direction(&PredicateOp::InSet(vec![])), None);
     }
 }

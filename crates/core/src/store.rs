@@ -32,8 +32,6 @@
 //! between rotating the old primary to `.prev` and renaming the temp file
 //! into place where the primary path is briefly empty — so load falls back
 //! to the backup there too, rather than silently starting fresh.
-//! Pre-existing raw-JSON repositories load with a warning and are upgraded
-//! on the next save.
 //!
 //! ## Concurrency contract
 //!
@@ -133,8 +131,7 @@ fn parse_repo(bytes: &[u8]) -> Result<ModelRepository, String> {
 /// involved, any degradations it worked around, and the evidence it kept.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreReport {
-    /// Generation loaded or written. `0` means a fresh (or legacy,
-    /// not-yet-upgraded) repository.
+    /// Generation loaded or written. `0` means a fresh repository.
     pub generation: u64,
     /// Human-readable notes about anything abnormal the operation survived.
     pub warnings: Vec<String>,
@@ -229,21 +226,6 @@ impl ModelStore {
                 report.generation = generation;
                 Ok((repo, report))
             }
-            Err(reason) if is_legacy_json(&bytes) => {
-                // Pre-store repositories were bare pretty-printed JSON.
-                let _ = reason;
-                match parse_repo(&bytes) {
-                    Ok(repo) => {
-                        report.warn(format!(
-                            "{}: legacy raw-JSON repository (no checksum); will be \
-                             upgraded to the checksummed format on next save",
-                            self.path.display()
-                        ));
-                        Ok((repo, report))
-                    }
-                    Err(e) => self.recover(format!("legacy JSON does not parse: {e}"), report),
-                }
-            }
             Err(reason) => self.recover(reason, report),
         }
     }
@@ -284,9 +266,7 @@ impl ModelStore {
         // as evidence). A zero-length husk is simply overwritten.
         if self.path.exists() {
             let bytes = fs::read(&self.path).map_err(|e| self.io_err(e))?;
-            let keep = decode_record(&bytes).is_ok()
-                || (is_legacy_json(&bytes) && parse_repo(&bytes).is_ok());
-            if keep {
+            if decode_record(&bytes).is_ok() {
                 fs::rename(&self.path, self.backup_path()).map_err(|e| self.io_err(e))?;
             } else if !bytes.is_empty() {
                 let grave = self.quarantine(&mut report)?;
@@ -387,8 +367,7 @@ impl ModelStore {
     }
 
     /// One past the highest generation any readable copy carries. A corrupt
-    /// or legacy store counts as generation 0, so the first checksummed
-    /// save is generation 1.
+    /// store counts as generation 0, so the first save is generation 1.
     fn next_generation(&self) -> u64 {
         let gen_of = |path: &Path| -> u64 {
             fs::read(path).ok().and_then(|b| decode_record(&b).ok()).map_or(0, |(g, _)| g)
@@ -427,12 +406,6 @@ fn quarantine_file(path: &Path) -> std::io::Result<PathBuf> {
         }
     }
     Err(std::io::Error::other("no free quarantine slot"))
-}
-
-/// Does this look like a pre-store raw-JSON repository? (First meaningful
-/// byte is `{`.)
-fn is_legacy_json(bytes: &[u8]) -> bool {
-    bytes.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{')
 }
 
 /// Faults the crash-torture harness injects into store files — each one a
@@ -655,22 +628,31 @@ mod tests {
     }
 
     #[test]
-    fn legacy_raw_json_loads_with_warning_and_upgrades_on_save() {
-        let dir = tempdir("legacy");
-        let store = ModelStore::new(dir.join("models.json"));
-        let legacy = serde_json::to_string_pretty(&repo_with(&["old faithful"])).unwrap();
-        fs::write(store.path(), legacy).unwrap();
-        let (repo, report) = store.load().unwrap();
-        assert_eq!(repo.models().len(), 1);
-        assert_eq!(report.generation, 0);
-        assert!(report.warnings.iter().any(|w| w.contains("legacy")), "{report:?}");
+    fn raw_json_primary_is_quarantined_like_any_undecodable_record() {
+        let raw = serde_json::to_string_pretty(&repo_with(&["old faithful"])).unwrap();
 
-        store.save(&repo).unwrap();
-        let (again, report) = store.load().unwrap();
-        assert_eq!(again.models().len(), 1);
-        assert_eq!(report.generation, 1);
-        assert!(report.warnings.is_empty(), "upgraded store loads clean: {report:?}");
-        assert!(store.backup_path().exists(), "legacy file preserved as backup");
+        // With a good `.prev`, load falls back to it.
+        let dir = tempdir("rawjson");
+        let store = ModelStore::new(dir.join("models.bin"));
+        store.save(&repo_with(&["gen one"])).unwrap();
+        store.save(&repo_with(&["gen one", "gen two"])).unwrap();
+        fs::write(store.path(), &raw).unwrap();
+        let (repo, report) = store.load().unwrap();
+        assert!(report.recovered_from_backup, "{report:?}");
+        assert_eq!((report.generation, repo.models().len()), (1, 1));
+        assert_eq!(report.quarantined, [sibling(store.path(), ".corrupt-1")]);
+        assert_eq!(fs::read_to_string(&report.quarantined[0]).unwrap(), raw, "kept as evidence");
+
+        // With nothing else on disk, load starts fresh and says so.
+        let dir = tempdir("rawjson-alone");
+        let store = ModelStore::new(dir.join("models.json"));
+        fs::write(store.path(), &raw).unwrap();
+        let (repo, report) = store.load().unwrap();
+        assert!(repo.models().is_empty());
+        assert!(!report.recovered_from_backup);
+        assert!(report.warnings.iter().any(|w| w.contains("bad magic")), "{report:?}");
+        assert!(report.warnings.iter().any(|w| w.contains("fresh repository")), "{report:?}");
+        assert_eq!(fs::read_to_string(&report.quarantined[0]).unwrap(), raw);
     }
 
     #[test]

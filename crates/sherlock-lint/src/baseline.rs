@@ -12,8 +12,7 @@
 //!
 //! File format is tab-separated `rule<TAB>path<TAB>occ<TAB>snippet`, with
 //! the snippet last so embedded tabs in source lines cannot desync the
-//! parse. The legacy three-field format (`rule<TAB>path<TAB>snippet`) is
-//! still read, with occurrence indices assigned in file order.
+//! parse.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -69,42 +68,21 @@ impl Baseline {
             Err(e) => return Err(e),
         };
         let mut entries = HashSet::new();
-        let mut legacy = OccCounter::default();
         for line in text.lines() {
             let line = line.trim_end();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             let mut parts = line.splitn(4, '\t');
-            let (Some(rule), Some(file), Some(third)) = (parts.next(), parts.next(), parts.next())
+            let (Some(rule), Some(file), Some(Ok(occ)), Some(snippet)) =
+                (parts.next(), parts.next(), parts.next().map(str::parse::<usize>), parts.next())
             else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("malformed baseline line (want rule\\tpath\\tocc\\tsnippet): {line:?}"),
                 ));
             };
-            let key = match (third.parse::<usize>(), parts.next()) {
-                // Current format: rule, path, occ, snippet.
-                (Ok(occ), Some(snippet)) => {
-                    (rule.to_string(), file.to_string(), snippet.to_string(), occ)
-                }
-                // Legacy format: rule, path, snippet — occ by file order.
-                // (A non-numeric third field, or a numeric snippet with no
-                // fourth field, both mean the third field IS the snippet.)
-                _ => {
-                    let snippet = match parts.next() {
-                        // Third field numeric but trailing fields exist and
-                        // were consumed above — unreachable; kept for the
-                        // non-numeric-third case where the "snippet" may
-                        // itself contain tabs.
-                        Some(rest) => format!("{third}\t{rest}"),
-                        None => third.to_string(),
-                    };
-                    let occ = legacy.next(rule, file, &snippet);
-                    (rule.to_string(), file.to_string(), snippet, occ)
-                }
-            };
-            entries.insert(key);
+            entries.insert((rule.to_string(), file.to_string(), snippet.to_string(), occ));
         }
         Ok(Baseline { entries })
     }
@@ -267,32 +245,30 @@ mod tests {
     }
 
     #[test]
-    fn legacy_three_field_format_still_loads() {
+    fn legacy_three_field_format_is_rejected() {
+        // `rule<TAB>path<TAB>snippet` has no occurrence index, so it is
+        // malformed rather than read with indices assigned in file order.
         let path = tmp("legacy.txt");
         std::fs::write(
             &path,
             "# comment\n\
              panic-path\ta.rs\tx.unwrap();\n\
-             panic-path\ta.rs\tx.unwrap();\n\
              nan-unsafe\tb.rs\ta == 0.0\n",
         )
         .unwrap();
-        let b = Baseline::load(&path).unwrap();
-        assert_eq!(b.len(), 3, "legacy duplicates get distinct occurrence indices");
-        let current = vec![
-            finding(RuleKind::PanicPath, "a.rs", 1, "x.unwrap();"),
-            finding(RuleKind::PanicPath, "a.rs", 2, "x.unwrap();"),
-            finding(RuleKind::NanUnsafe, "b.rs", 3, "a == 0.0"),
-        ];
-        let d = b.diff(&current);
-        assert!(d.new.is_empty());
-        assert_eq!((d.baselined, d.stale), (3, 0));
+        assert!(Baseline::load(&path).is_err());
     }
 
     #[test]
     fn malformed_line_is_an_error() {
         let path = tmp("malformed.txt");
-        std::fs::write(&path, "panic-path only-two-fields\n").unwrap();
-        assert!(Baseline::load(&path).is_err());
+        for line in [
+            "panic-path only-two-fields\n",
+            // A non-numeric occurrence index.
+            "panic-path\ta.rs\tfirst\tx.unwrap();\n",
+        ] {
+            std::fs::write(&path, line).unwrap();
+            assert!(Baseline::load(&path).is_err(), "{line:?}");
+        }
     }
 }

@@ -75,7 +75,7 @@
 //!   seed-derived stream). Findings carry a source→sanitizer-miss→sink
 //!   trace, emitted as a SARIF `codeFlow`.
 //! * `unisolated-panic` — a panic site reachable from a certified entry
-//!   point (`explain_batch`, `try_explain_validated`, the sherlockd
+//!   point (`explain_batch`, `validate_explanation`, the sherlockd
 //!   ingest loop) with no `catch_unwind`/`try_par_map_indexed` boundary
 //!   on the path. The `--certify` CLI mode distills both rules into
 //!   `tools/lint-certificate.json`, which CI diffs.

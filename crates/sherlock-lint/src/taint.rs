@@ -11,7 +11,7 @@
 //!    order-free reduction, a seed-derived stream)?
 //! 2. **Panic isolation** — which `unwrap`/`expect`/`panic!`/`[]`-indexing
 //!    sites are reachable from the certified public entry points
-//!    (`explain_batch`, `try_explain_validated`, the sherlockd ingest
+//!    (`explain_batch`, `validate_explanation`, the sherlockd ingest
 //!    loop) along a path that never crosses a `catch_unwind` /
 //!    `try_par_map_indexed` isolation boundary?
 //!
@@ -138,9 +138,8 @@ const ISOLATION_WRAPPERS: &[&str] = &["catch_unwind", "try_par_map_indexed", "qu
 /// name fails certification — renaming an entry must be a loud event.
 pub const ENTRY_POINTS: &[&str] = &[
     "explain_batch",
-    "explain_batch_validated",
     "try_explain",
-    "try_explain_validated",
+    "validate_explanation",
     "handle_line",
     "ingest",
     "worker_loop",

@@ -17,6 +17,8 @@ use sherlock_lint::syntax::FileSyntax;
 use sherlock_lint::taint::{TaintIndex, TaintSet, ADDRESS, CLOCK, HASH_ORDER, RNG, THREAD_ID};
 
 const TOP: TaintSet = RNG | CLOCK | HASH_ORDER | THREAD_ID | ADDRESS;
+/// The untainted set, the join's identity.
+const CLEAN: TaintSet = 0;
 
 /// One generated function: which sources/sanitizers its body contains
 /// and which sibling functions it calls.
@@ -143,7 +145,7 @@ proptest! {
         prop_assert_eq!(a | b, b | a);
         prop_assert_eq!((a | b) | c, a | (b | c));
         prop_assert_eq!((a | b) & a, a); // a ⊑ a ∨ b
-        prop_assert_eq!(a | 0, a);
+        prop_assert_eq!(a | CLEAN, a);
     }
 
     /// For any generated call graph — cycles, self-calls, dead fns — the

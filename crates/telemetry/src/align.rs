@@ -10,6 +10,7 @@ use crate::attribute::{AttributeMeta, Schema};
 use crate::dataset::Dataset;
 use crate::error::{IngestWarning, Result, TelemetryError};
 use crate::value::Value;
+use crate::view::ColumnView;
 
 /// How samples falling into the same bucket are summarized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,6 +227,8 @@ pub fn repair_alignment(
     keyed.sort_by(|a, b| a.1.total_cmp(&b.1));
 
     // 3 + 4. Snap to the grid and collapse collisions.
+    let columns: Vec<ColumnView<'_>> =
+        (0..dataset.schema().len()).map(|attr_id| dataset.column(attr_id)).collect();
     let mut out = Dataset::new(dataset.schema().clone());
     let mut last_key: Option<i64> = None;
     let mut last_exact: Option<f64> = None;
@@ -247,16 +250,17 @@ pub fn repair_alignment(
             });
             continue;
         }
-        let mut values = Vec::with_capacity(dataset.schema().len());
-        for attr_id in 0..dataset.schema().len() {
-            // Repair is ingestion-side: per-cell access off the hot path.
-            #[allow(deprecated)]
-            let v = match dataset.value(row, attr_id) {
-                Value::Num(x) => Value::Num(x),
-                Value::Cat(c) => {
-                    let (_, dict) = dataset.categorical(attr_id)?;
-                    let label = dict.label(c).unwrap_or("<unknown>").to_string();
-                    out.intern(attr_id, &label)?
+        // Copy the row, re-interning categoricals by label into the
+        // repaired dataset's own dictionaries.
+        let mut values = Vec::with_capacity(columns.len());
+        for (attr_id, column) in columns.iter().enumerate() {
+            let v = match column {
+                ColumnView::Numeric(v) => {
+                    Value::Num(v.as_slice().get(row).copied().unwrap_or(f64::NAN))
+                }
+                ColumnView::Categorical(c) => {
+                    let label = c.ids.get(row).and_then(|&id| c.dict.label(id));
+                    out.intern(attr_id, label.unwrap_or("<unknown>"))?
                 }
             };
             values.push(v);

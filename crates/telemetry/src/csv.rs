@@ -20,6 +20,7 @@ use crate::attribute::{AttributeKind, AttributeMeta, Schema};
 use crate::dataset::Dataset;
 use crate::error::{IngestWarning, Result, TelemetryError};
 use crate::value::Value;
+use crate::view::ColumnView;
 
 /// Serialize a dataset to CSV text.
 pub fn to_csv(dataset: &Dataset) -> String {
@@ -30,25 +31,21 @@ pub fn to_csv(dataset: &Dataset) -> String {
         write_field(&mut out, &format!("{}:{}", attr.name, attr.kind.tag()));
     }
     out.push('\n');
-    for row in 0..dataset.n_rows() {
-        let _ = write!(out, "{}", fmt_num(dataset.timestamps()[row]));
-        for (attr_id, attr) in dataset.schema().iter() {
+    let columns: Vec<ColumnView<'_>> =
+        (0..dataset.schema().len()).map(|attr_id| dataset.column(attr_id)).collect();
+    for (row, &timestamp) in dataset.timestamps().iter().enumerate() {
+        let _ = write!(out, "{}", fmt_num(timestamp));
+        for column in &columns {
             out.push(',');
-            // Serialization is row-oriented by nature; per-cell access is
-            // the right shape here, not in the diagnosis kernels.
-            #[allow(deprecated)]
-            match dataset.value(row, attr_id) {
-                Value::Num(v) => {
-                    let _ = write!(out, "{}", fmt_num(v));
+            match column {
+                ColumnView::Numeric(v) => {
+                    if let Some(&x) = v.as_slice().get(row) {
+                        let _ = write!(out, "{}", fmt_num(x));
+                    }
                 }
-                Value::Cat(c) => {
-                    let label = dataset
-                        .categorical(attr_id)
-                        .ok()
-                        .and_then(|(_, dict)| dict.label(c))
-                        .unwrap_or("<unknown>");
-                    write_field(&mut out, label);
-                    let _ = &attr;
+                ColumnView::Categorical(c) => {
+                    let label = c.ids.get(row).and_then(|&id| c.dict.label(id));
+                    write_field(&mut out, label.unwrap_or("<unknown>"));
                 }
             }
         }

@@ -183,19 +183,6 @@ impl Dataset {
         }
     }
 
-    /// Single scalar at `(row, attr_id)`.
-    #[deprecated(
-        since = "0.9.0",
-        note = "per-cell access pays an enum dispatch per row; take `Dataset::column` \
-                or a `ColumnarSnapshot` and scan the slice (see README migration note)"
-    )]
-    pub fn value(&self, row: usize, attr_id: usize) -> Value {
-        match &self.columns[attr_id] {
-            Column::Numeric(v) => Value::Num(v[row]),
-            Column::Categorical { ids, .. } => Value::Cat(ids[row]),
-        }
-    }
-
     /// Mutable access to a numeric column (used by noise injection).
     pub fn numeric_mut(&mut self, attr_id: usize) -> Result<&mut [f64]> {
         match &mut self.columns[attr_id] {
@@ -249,59 +236,35 @@ impl Dataset {
     }
 
     /// New dataset containing only the rows in `region`, in order.
+    /// Dictionaries are kept verbatim so category ids stay comparable
+    /// across selections of the same dataset.
     pub fn select(&self, region: &Region) -> Result<Dataset> {
-        if let Some(&max) = region.indices().last() {
+        let rows = region.indices();
+        if let Some(&max) = rows.last() {
             if max >= self.n_rows() {
                 return Err(TelemetryError::RowOutOfBounds { index: max, len: self.n_rows() });
             }
         }
-        let mut out = Dataset::new(self.schema.clone());
-        // Preserve dictionaries verbatim so category ids stay comparable
-        // across selections of the same dataset.
-        for (id, col) in self.columns.iter().enumerate() {
-            if let Column::Categorical { dict, .. } = col {
-                if let Column::Categorical { dict: d, .. } = &mut out.columns[id] {
-                    *d = dict.clone();
+        // Regions are sorted, so every row is in bounds and each column
+        // keeps exactly `rows.len()` entries.
+        fn pick<T: Copy>(values: &[T], rows: &[usize]) -> Vec<T> {
+            rows.iter().filter_map(|&row| values.get(row).copied()).collect()
+        }
+        let columns = self
+            .columns
+            .iter()
+            .map(|column| match column {
+                Column::Numeric(v) => Column::Numeric(pick(v, rows)),
+                Column::Categorical { ids, dict } => {
+                    Column::Categorical { ids: pick(ids, rows), dict: dict.clone() }
                 }
-            }
-        }
-        for &row in region.indices() {
-            // Ingestion-side row materialization: per-cell access is fine
-            // off the diagnosis hot path.
-            #[allow(deprecated)]
-            let values: Vec<Value> = (0..self.schema.len()).map(|a| self.value(row, a)).collect();
-            out.push_row(self.timestamps[row], &values)?;
-        }
-        Ok(out)
-    }
-
-    /// Append all rows of `other`; schemas must have identical layout.
-    ///
-    /// Categorical values are re-interned by label so the two datasets need
-    /// not share dictionary id assignments.
-    pub fn extend_from(&mut self, other: &Dataset) -> Result<()> {
-        if !self.schema.same_layout(&other.schema) {
-            return Err(TelemetryError::SchemaMismatch(
-                "extend_from requires identical attribute layout".into(),
-            ));
-        }
-        for row in 0..other.n_rows() {
-            let mut values = Vec::with_capacity(self.schema.len());
-            for attr_id in 0..self.schema.len() {
-                #[allow(deprecated)]
-                let v = match other.value(row, attr_id) {
-                    Value::Num(x) => Value::Num(x),
-                    Value::Cat(c) => {
-                        let (_, dict) = other.categorical(attr_id)?;
-                        let label = dict.label(c).unwrap_or("<unknown>").to_string();
-                        self.intern(attr_id, &label)?
-                    }
-                };
-                values.push(v);
-            }
-            self.push_row(other.timestamps[row], &values)?;
-        }
-        Ok(())
+            })
+            .collect();
+        Ok(Dataset {
+            schema: self.schema.clone(),
+            timestamps: pick(&self.timestamps, rows),
+            columns,
+        })
     }
 }
 
@@ -332,11 +295,6 @@ mod tests {
         let (ids, dict) = d.categorical(1).unwrap();
         assert_eq!(ids, &[0, 1, 0]);
         assert_eq!(dict.label(1), Some("busy"));
-        #[allow(deprecated)]
-        {
-            assert_eq!(d.value(1, 0), Value::Num(20.0));
-            assert_eq!(d.value(1, 1), Value::Cat(1));
-        }
         assert_eq!(d.timestamps(), &[0.0, 1.0, 2.0]);
     }
 
@@ -385,18 +343,5 @@ mod tests {
     fn select_out_of_bounds() {
         let d = sample();
         assert!(d.select(&Region::from_indices([5])).is_err());
-    }
-
-    #[test]
-    fn extend_from_reinterns_labels() {
-        let mut a = sample();
-        let mut b = Dataset::new(schema());
-        // In `b`, "backup" gets id 0 — must map to a fresh id in `a`.
-        let backup = b.intern(1, "backup").unwrap();
-        b.push_row(9.0, &[Value::Num(1.0), backup]).unwrap();
-        a.extend_from(&b).unwrap();
-        assert_eq!(a.n_rows(), 4);
-        let (ids, dict) = a.categorical(1).unwrap();
-        assert_eq!(dict.label(ids[3]).unwrap(), "backup");
     }
 }

@@ -21,8 +21,6 @@ pub enum TelemetryError {
         /// The kind the operation required.
         expected: &'static str,
     },
-    /// Two datasets or streams that must share a schema did not.
-    SchemaMismatch(String),
     /// A region referenced a row index outside the dataset.
     RowOutOfBounds {
         /// The offending row index.
@@ -55,7 +53,6 @@ impl fmt::Display for TelemetryError {
             TelemetryError::KindMismatch { attribute, expected } => {
                 write!(f, "attribute {attribute:?} is not {expected}")
             }
-            TelemetryError::SchemaMismatch(detail) => write!(f, "schema mismatch: {detail}"),
             TelemetryError::RowOutOfBounds { index, len } => {
                 write!(f, "row index {index} out of bounds for dataset of {len} rows")
             }

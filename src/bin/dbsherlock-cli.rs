@@ -110,8 +110,6 @@ options:
 model repository files are stored as checksummed, crash-safe records: every
 save keeps the previous generation as <path>.prev, and a torn or corrupt
 file is quarantined as <path>.corrupt-<n> and recovered from the backup.
-Pre-existing raw-JSON repositories still load and are upgraded on the next
-save.
 
 exit codes:
   0 success   1 usage error   2 unreadable/unparseable input   3 diagnosis failure";

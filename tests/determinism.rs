@@ -2,6 +2,10 @@
 //! output. `explain` under `ExecPolicy::Serial` and `ExecPolicy::Threads(4)`
 //! must produce bit-identical predicates, ranking, and confidences on
 //! arbitrary data, and `explain_batch` must return results in case order.
+//! `explain` and `detect` must also equal the chains of public stage
+//! kernels that perfbench's stage-by-stage replicas compose.
+
+use std::sync::OnceLock;
 
 use dbsherlock::prelude::*;
 use proptest::prelude::*;
@@ -41,16 +45,68 @@ fn engine(exec: ExecPolicy, d: &Dataset, abnormal: &Region) -> Sherlock {
     sherlock
 }
 
-/// Ranked causes with bit-exact confidences: `(cause, confidence.to_bits())`.
-type CauseBits = Vec<(String, u64)>;
-
-/// Everything observable about an explanation, bit-exact (confidences via
-/// `to_bits`, so `-0.0` vs `0.0` or any ULP drift would be caught).
-fn observe(e: &Explanation) -> (String, CauseBits, CauseBits) {
-    let bits = |causes: &[RankedCause]| {
-        causes.iter().map(|c| (c.cause.clone(), c.confidence.to_bits())).collect::<Vec<_>>()
+/// Everything observable about an explanation, bit-exact (`to_bits`, so
+/// `-0.0` vs `0.0` or any ULP drift would be caught): each predicate's
+/// attribute, thresholds, separation power and normalized difference, and
+/// the confidence of every cause, shown and hidden alike.
+fn observe(e: &Explanation) -> Vec<String> {
+    let predicates = e.predicates.iter().map(|g| {
+        let op = match &g.predicate.op {
+            PredicateOp::Lt(x) => format!("< {:#x}", x.to_bits()),
+            PredicateOp::Gt(x) => format!("> {:#x}", x.to_bits()),
+            PredicateOp::Between(lo, hi) => {
+                format!("in ({:#x}, {:#x})", lo.to_bits(), hi.to_bits())
+            }
+            PredicateOp::InSet(labels) => format!("in {labels:?}"),
+        };
+        let (sp, d) = (g.separation_power.to_bits(), g.normalized_diff.to_bits());
+        format!("{} {op} sp={sp:#x} d={d:#x}", g.predicate.attr)
+    });
+    let ranked = |tag: &str, causes: &[RankedCause]| -> Vec<String> {
+        causes.iter().map(|c| format!("{tag} {} {:#x}", c.cause, c.confidence.to_bits())).collect()
     };
-    (e.predicates_display(), bits(&e.causes), bits(&e.all_causes))
+    predicates.chain(ranked("shown", &e.causes)).chain(ranked("all", &e.all_causes)).collect()
+}
+
+/// The standard TPC-C-like corpus (ten Table 1 classes × eleven variants),
+/// with one causal model per class learned from variant 0 and pruned by
+/// the MySQL/Linux domain knowledge, as perfbench's `corpus` workload sets
+/// itself up. Built once per test binary.
+struct Corpus {
+    cases: Vec<(Dataset, Region)>,
+    models: ModelRepository,
+}
+
+fn corpus() -> &'static Corpus {
+    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        // The experiment harness's corpus seed.
+        const SEED: u64 = 20160626;
+        let params = SherlockParams::default().with_exec(ExecPolicy::Serial);
+        let domain = DomainKnowledge::mysql_linux();
+        let mut cases = Vec::new();
+        let mut models = ModelRepository::new();
+        for kind in AnomalyKind::ALL {
+            for variant in 0..dbsherlock::simulator::VARIATIONS.len() {
+                let labeled = dbsherlock::simulator::standard_scenario(
+                    Benchmark::TpccLike,
+                    kind,
+                    variant,
+                    SEED,
+                )
+                .run();
+                let abnormal = labeled.abnormal_region();
+                if variant == 0 {
+                    let normal = labeled.normal_region();
+                    let raw = generate_predicates(&labeled.data, &abnormal, &normal, &params);
+                    let predicates = domain.prune(&labeled.data, raw, &params);
+                    models.add(CausalModel::from_feedback(kind.name(), &predicates));
+                }
+                cases.push((labeled.data, abnormal));
+            }
+        }
+        Corpus { cases, models }
+    })
 }
 
 /// Mixed-kind dataset for the columnar/scalar parity properties: a clean
@@ -238,6 +294,31 @@ proptest! {
         prop_assert_eq!(engine, detect_by_public_kernels(&d, &params));
     }
 
+    /// `try_explain` equals the public-kernel chain on random mixed-kind
+    /// data (NaN cells, a categorical attribute) under both policies.
+    #[test]
+    fn explain_equals_the_public_kernel_chain_on_random_data(
+        base in 1.0_f64..100.0,
+        jump in 0.2_f64..10.0,
+        shift_at in 0usize..80,
+        seedish in 0u64..1000,
+        nan_every in 2usize..12,
+    ) {
+        let (d, abnormal) = mixed_dataset_from(base, jump, shift_at, seedish, nan_every);
+        for exec in [ExecPolicy::Serial, ExecPolicy::Threads(3)] {
+            let sherlock = engine(exec, &d, &abnormal);
+            let engine = sherlock.try_explain(&d, &abnormal, None).unwrap();
+            let chain = explain_by_public_kernels(
+                &d,
+                &abnormal,
+                &DomainKnowledge::default(),
+                sherlock.repository(),
+                sherlock.params(),
+            );
+            prop_assert_eq!(observe(&engine), observe(&chain));
+        }
+    }
+
     /// Automatic detection is policy-independent too (potential power and
     /// the pairwise distances run on the pool).
     #[test]
@@ -400,4 +481,112 @@ fn explain_batch_equals_serial_loop_bit_for_bit() {
     for (a, b) in looped.iter().zip(&batched) {
         assert_eq!(observe(a), observe(b.as_ref().unwrap()));
     }
+
+    // The 110-case corpus against the ten Table 1 models, under domain
+    // pruning: a threaded batch equals a serial loop on every case.
+    let corpus = corpus();
+    let engine = |exec: ExecPolicy| {
+        let params = SherlockParams::default().with_exec(exec);
+        let mut sherlock =
+            Sherlock::new(params).with_domain_knowledge(DomainKnowledge::mysql_linux());
+        *sherlock.repository_mut() = corpus.models.clone();
+        sherlock
+    };
+    let (serial, threaded) = (engine(ExecPolicy::Serial), engine(ExecPolicy::Threads(4)));
+    let cases: Vec<Case<'_>> = corpus.cases.iter().map(|(d, r)| Case::new(d, r)).collect();
+    let batched = threaded.explain_batch(&cases);
+    assert_eq!(batched.len(), cases.len());
+    for ((d, r), batch) in corpus.cases.iter().zip(&batched) {
+        let looped = serial.try_explain(d, r, None).unwrap();
+        assert_eq!(observe(&looped), observe(batch.as_ref().unwrap()));
+    }
+}
+
+/// Algorithm 1, §5 pruning and §6 ranking spelled out through the public
+/// stage kernels, in the order `Sherlock::try_explain` runs them (the chain
+/// perfbench's replica composes): snapshot → `from_numeric_range` /
+/// `from_dictionary` → `label_partitions_view` → `filter_partitions` →
+/// `fill_gaps_view` → `normalized_mean_difference_view` → θ gate →
+/// `extract_numeric` / `extract_categorical_view` → `separation_power_view`
+/// → min-SP gate → `DomainKnowledge::prune` → `try_rank` → λ filter.
+fn explain_by_public_kernels(
+    d: &Dataset,
+    abnormal: &Region,
+    domain: &DomainKnowledge,
+    repository: &ModelRepository,
+    params: &SherlockParams,
+) -> Explanation {
+    use dbsherlock::core::extract::{
+        extract_categorical_view, extract_numeric, normalized_mean_difference_view,
+    };
+    use dbsherlock::core::fill::fill_gaps_view;
+    use dbsherlock::core::filter::filter_partitions;
+    use dbsherlock::core::label::label_partitions_view;
+    use dbsherlock::core::separation::separation_power_view;
+    use dbsherlock::core::{ArmedBudget, PartitionSpace};
+
+    let normal = &abnormal.complement(d.n_rows());
+    let snapshot = d.snapshot();
+    let attribute = |attr_id: usize, attr: &AttributeMeta| -> Option<GeneratedPredicate> {
+        let view = snapshot.column(attr_id);
+        let space = match attr.kind {
+            AttributeKind::Numeric => PartitionSpace::from_numeric_range(
+                snapshot.numeric_range(attr_id),
+                params.n_partitions(),
+            )?,
+            AttributeKind::Categorical => PartitionSpace::from_dictionary(view.categorical()?.1)?,
+        };
+        let labels = label_partitions_view(view, &space, abnormal, normal);
+        let (predicate, normalized_diff) = match attr.kind {
+            AttributeKind::Numeric => {
+                let values = view.numeric()?;
+                let filtered = filter_partitions(&labels);
+                let filled = fill_gaps_view(&filtered, params.delta(), values, &space, normal);
+                let range = snapshot.numeric_range(attr_id)?;
+                let diff = normalized_mean_difference_view(values, range, abnormal, normal)?;
+                if diff <= params.theta() {
+                    return None;
+                }
+                (extract_numeric(&attr.name, &space, &filled)?, diff)
+            }
+            AttributeKind::Categorical => {
+                let dict = view.categorical()?.1;
+                (extract_categorical_view(&attr.name, dict, &labels)?, 1.0)
+            }
+        };
+        let separation_power = separation_power_view(&predicate, view, abnormal, normal);
+        (separation_power >= params.min_separation_power()).then_some(GeneratedPredicate {
+            predicate,
+            separation_power,
+            normalized_diff,
+        })
+    };
+    let raw: Vec<GeneratedPredicate> =
+        d.schema().iter().filter_map(|(attr_id, attr)| attribute(attr_id, attr)).collect();
+    let predicates = domain.prune(d, raw, params);
+    let all_causes =
+        repository.try_rank(d, abnormal, normal, params, &ArmedBudget::unlimited()).unwrap();
+    let causes = all_causes.iter().filter(|c| c.confidence >= params.lambda()).cloned().collect();
+    Explanation { predicates, causes, all_causes, interventions: Vec::new() }
+}
+
+/// `try_explain` equals the public-kernel chain on every corpus case, with
+/// the Table 1 models and domain pruning, under both execution policies.
+#[test]
+fn explain_equals_the_public_kernel_chain_on_the_corpus() {
+    let corpus = corpus();
+    let domain = DomainKnowledge::mysql_linux();
+    let mut explained = 0;
+    for exec in [ExecPolicy::Serial, ExecPolicy::Threads(3)] {
+        let params = SherlockParams::default().with_exec(exec);
+        let mut sherlock = Sherlock::new(params.clone()).with_domain_knowledge(domain.clone());
+        *sherlock.repository_mut() = corpus.models.clone();
+        for (i, (d, abnormal)) in corpus.cases.iter().enumerate() {
+            let engine = sherlock.try_explain(d, abnormal, None).unwrap();
+            let chain = explain_by_public_kernels(d, abnormal, &domain, &corpus.models, &params);
+            assert_eq!(observe(&engine), observe(&chain), "case {i}, {exec}");
+            explained += usize::from(!engine.predicates.is_empty() && !engine.causes.is_empty());
+        }
+    }
+    assert!(explained >= 200, "only {explained} cases had predicates and causes to compare");
 }
