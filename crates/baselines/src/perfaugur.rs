@@ -53,6 +53,10 @@ pub struct ScoredWindow {
 /// its internal spread explodes relative to the shift — while windows
 /// whose contents are volatile but hugely shifted stay competitive (the
 /// original's surprise-vs-impact trade-off).
+#[allow(
+    clippy::indexing_slicing,
+    reason = "callers score windows inside values (start + len <= values.len())"
+)]
 pub fn window_score(values: &[f64], start: usize, len: usize) -> f64 {
     let inside = &values[start..start + len];
     let outside: Vec<f64> =

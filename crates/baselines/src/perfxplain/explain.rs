@@ -96,6 +96,10 @@ pub struct TrainingSet<'a> {
 impl PerfXplain {
     /// Train on a collection of labeled datasets (the paper uses the 10
     /// training datasets of each test case).
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "set_idx and rows a, b are drawn in range; selected and mask hold one slot per pair"
+    )]
     pub fn train(sets: &[TrainingSet<'_>], config: PerfXplainConfig) -> Option<PerfXplain> {
         let first = sets.first()?;
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -215,6 +219,10 @@ impl PerfXplain {
                 if reference == row {
                     continue;
                 }
+                #[allow(
+                    clippy::indexing_slicing,
+                    reason = "reference and row are drawn from 0..n_rows(), the column length"
+                )]
                 let (slow, fast) = if latencies[reference] > latencies[row] {
                     (reference, row)
                 } else {

@@ -197,6 +197,10 @@ fn main() {
             let daemon = Arc::clone(&daemon);
             let sink = counting_sink(&counters);
             let (_, faults) = fault_schedule(tenant);
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "one client thread per tenant drives the daemon concurrently"
+            )]
             clients.push(std::thread::spawn(move || {
                 let events = apply_schedule(&tenant_lines(tenant), &faults);
                 let mut session = Session::new(sink);

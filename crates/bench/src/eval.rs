@@ -35,7 +35,12 @@ pub fn single_model(
 }
 
 /// Build a merged causal model for an anomaly class from several training
-/// datasets (§8.5 setup; the paper uses θ = 0.05 here).
+/// datasets (§8.5 setup; the paper uses θ = 0.05 here). `entries` must not
+/// be empty.
+#[allow(
+    clippy::expect_used,
+    reason = "documented precondition: callers pass at least one training dataset"
+)]
 pub fn merged_model(
     entries: &[&CorpusEntry],
     params: &SherlockParams,
@@ -43,9 +48,6 @@ pub fn merged_model(
 ) -> CausalModel {
     let models: Vec<CausalModel> =
         entries.iter().map(|e| single_model(e, params, domain)).collect();
-    // Documented precondition: callers pass at least one training dataset.
-    #[allow(clippy::expect_used)]
-    // sherlock-lint: allow(panic-path): documented precondition
     dbsherlock_core::merge_all(models.iter()).expect("at least one training dataset")
 }
 
@@ -123,6 +125,7 @@ pub fn diagnose_named(
     let normal = abnormal.complement(dataset.n_rows());
     let ranked = repo.rank(dataset, abnormal, &normal, params);
     let correct_rank = ranked.iter().position(|r| r.cause == truth);
+    #[allow(clippy::indexing_slicing, reason = "i is a position found in ranked")]
     let correct_confidence =
         correct_rank.map(|i| ranked[i].confidence).unwrap_or(f64::NEG_INFINITY);
     let best_incorrect = ranked
@@ -231,6 +234,7 @@ fn percent(hits: usize, total: usize) -> f64 {
 /// Deterministic pseudo-random subset selection: picks `take` distinct
 /// indices out of `n` using a seeded RNG (shared by split-based
 /// experiments so every binary shuffles identically).
+#[allow(clippy::indexing_slicing, reason = "take.min(n) never exceeds indices.len() == n")]
 pub fn random_split(n: usize, take: usize, rng: &mut impl rand::Rng) -> (Vec<usize>, Vec<usize>) {
     let mut indices: Vec<usize> = (0..n).collect();
     // Fisher–Yates prefix shuffle.

@@ -1,6 +1,18 @@
 // Experiment drivers share the library panic policy: helpers must not panic
-// outside tests (binaries under src/bin/ may). See sherlock-lint's panic-path rule.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// outside tests (binaries under src/bin/ may).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 //! Experiment harness reproducing every table and figure of the DBSherlock
 //! paper (SIGMOD 2016).

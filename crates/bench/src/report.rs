@@ -31,6 +31,10 @@ impl Table {
     }
 
     /// Render with aligned columns.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "rows come through row(), which asserts one cell per header"
+    )]
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -81,7 +85,7 @@ pub fn write_json(name: &str, value: &Json) {
     let path = dir.join(format!("{name}.json"));
     match serde_json::to_string_pretty(value) {
         Ok(body) => {
-            // sherlock-lint: allow(raw-fs-write, unsynced-store-write): bench report, re-runnable — not a store artifact
+            // sherlock-lint: allow(unsynced-store-write): bench report, re-runnable — not a store artifact
             if let Err(e) = std::fs::write(&path, body) {
                 eprintln!("warning: cannot write {}: {e}", path.display());
             } else {

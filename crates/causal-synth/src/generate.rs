@@ -67,6 +67,10 @@ pub fn var_name(i: usize) -> String {
 
 impl SynthInstance {
     /// Generate one instance.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "values and graph.parents have config.k entries; parent ids index values"
+    )]
     pub fn generate(config: &SynthConfig, seed: u64) -> SynthInstance {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = CausalGraph::random(config.k, config.edge_prob, &mut rng);
@@ -78,9 +82,12 @@ impl SynthInstance {
         let abnormal = Region::from_range(start..start + config.abnormal_len);
 
         // `var_name` enumerates distinct names, so construction cannot fail.
-        #[allow(clippy::expect_used)]
+        #[allow(
+            clippy::expect_used,
+            reason = "var_name enumerates distinct names, so the schema cannot be rejected"
+        )]
         let schema = Schema::from_attrs((0..config.k).map(|i| AttributeMeta::numeric(var_name(i))))
-            .expect("unique names"); // sherlock-lint: allow(panic-path): static invariant
+            .expect("unique names");
         let mut dataset = Dataset::new(schema);
         let mut values = vec![0.0_f64; config.k];
         for row in 0..config.n_rows {
@@ -98,8 +105,10 @@ impl SynthInstance {
             }
             let row_values: Vec<Value> = values.iter().map(|&v| Value::Num(v)).collect();
             // Rows mirror the schema built above, so push cannot fail.
-            #[allow(clippy::expect_used)]
-            // sherlock-lint: allow(panic-path): static invariant
+            #[allow(
+                clippy::expect_used,
+                reason = "rows mirror the schema built above, so push cannot fail"
+            )]
             dataset.push_row(row as f64, &row_values).expect("schema-consistent");
         }
 

@@ -46,6 +46,10 @@ impl CausalGraph {
                 }
             }
         }
+        #[allow(
+            clippy::indexing_slicing,
+            reason = "k >= 2 is asserted above and parents has k entries"
+        )]
         if parents[k - 1].is_empty() {
             let i = rng.random_range(0..k - 1);
             let c = coeff(rng);
@@ -60,11 +64,16 @@ impl CausalGraph {
     }
 
     /// Nodes with no incoming edges.
+    #[allow(clippy::indexing_slicing, reason = "parents has one entry per variable 0..k")]
     pub fn roots(&self) -> Vec<usize> {
         (0..self.k).filter(|&j| self.parents[j].is_empty()).collect()
     }
 
     /// Is there a directed path from `from` to `to`?
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "variable ids are below k, the length of parents and seen"
+    )]
     pub fn reaches(&self, from: usize, to: usize) -> bool {
         if from == to {
             return true;

@@ -20,6 +20,10 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 
 /// Transpose normalized columns into row points: `columns[c][r]` becomes
 /// coordinate `c` of point `r`.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "every column has the first column's length n (debug-asserted above)"
+)]
 pub fn rows_from_columns(columns: &[&[f64]]) -> Vec<Point> {
     let Some(first) = columns.first() else {
         return Vec::new();

@@ -48,13 +48,15 @@ pub const PANIC_INTERVENTION: &str = "__sherlock_chaos::panic_intervention__";
 /// the top of confidence scoring; a no-op for every real cause and dataset,
 /// and compiled out entirely without the `chaos` feature.
 #[cfg(any(test, feature = "chaos"))]
+#[allow(
+    clippy::panic,
+    reason = "deliberate chaos tripwire, compiled only into tests and chaos builds"
+)]
 pub(crate) fn scorer_tripwire(cause: &str, dataset: &Dataset) {
     if cause == PANIC_CAUSE {
-        // sherlock-lint: allow(panic-path): deliberate chaos tripwire (see module docs)
         panic!("chaos: deliberate panic scoring model {PANIC_CAUSE:?}");
     }
     if dataset.schema().id_of(PANIC_ATTR).is_some() {
-        // sherlock-lint: allow(panic-path): deliberate chaos tripwire (see module docs)
         panic!("chaos: deliberate panic scoring against a {PANIC_ATTR:?} dataset");
     }
 }
@@ -75,6 +77,10 @@ static HOOK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// restores the hook before resuming the unwind. The lock is not
 /// reentrant — do not nest `quiet_panics` calls on one thread.
 #[cfg(any(test, feature = "chaos"))]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned panic-hook swap; HOOK_LOCK serialises it"
+)]
 pub fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
     let _guard = HOOK_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let hook = std::panic::take_hook();

@@ -96,6 +96,10 @@ impl DomainKnowledge {
     /// (order preserved). For each rule whose cause and effect both have
     /// predicates, the effect predicate is removed iff the dependence test
     /// over `dataset` confirms the rule (`κ >= κ_t`).
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "pruned has one slot per predicate; i and effect_idx are positions in predicates"
+    )]
     pub fn prune(
         &self,
         dataset: &Dataset,

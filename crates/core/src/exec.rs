@@ -89,7 +89,10 @@ where
     }
 
     let mut indexed: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    // sherlock-lint: allow(raw-spawn): this is the one sanctioned spawn site
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the execution layer is the one sanctioned spawn site"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
@@ -108,8 +111,10 @@ where
         for handle in handles {
             // Propagate worker panics to the caller, exactly as the serial
             // loop would surface them.
-            #[allow(clippy::expect_used)]
-            // sherlock-lint: allow(panic-path): propagates child panic
+            #[allow(
+                clippy::expect_used,
+                reason = "propagates a worker panic to the caller, as the serial loop would"
+            )]
             indexed.extend(handle.join().expect("worker thread panicked"));
         }
     });
@@ -164,7 +169,10 @@ where
     }
 
     let mut indexed: Vec<(usize, Result<U, SherlockError>)> = Vec::with_capacity(items.len());
-    // sherlock-lint: allow(raw-spawn): second sanctioned spawn site (fallible twin)
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the execution layer is the one sanctioned spawn site (fallible twin)"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|tid| {

@@ -18,6 +18,7 @@ use crate::predicate::Predicate;
 
 /// The single maximal run of `Abnormal` partitions, if there is exactly
 /// one; `None` when there are zero or several runs.
+#[allow(clippy::indexing_slicing, reason = "both loops check j < labels.len() before indexing")]
 pub fn single_abnormal_block(labels: &[PartitionLabel]) -> Option<std::ops::Range<usize>> {
     let mut block: Option<std::ops::Range<usize>> = None;
     let mut j = 0;

@@ -69,6 +69,10 @@ fn anchor_normal_average(
     }
 }
 
+#[allow(
+    clippy::indexing_slicing,
+    reason = "labels, left and right all have n entries and j ranges over 0..n"
+)]
 fn fill(labels: &[PartitionLabel], delta: f64) -> Vec<PartitionLabel> {
     let n = labels.len();
     // Distance (in partitions) to the closest non-Empty partition on each

@@ -14,6 +14,7 @@
 use crate::partition::PartitionLabel;
 
 /// Apply one simultaneous filtering pass, returning the filtered labels.
+#[allow(clippy::indexing_slicing, reason = "windows(3) yields three positions into labels")]
 pub fn filter_partitions(labels: &[PartitionLabel]) -> Vec<PartitionLabel> {
     let non_empty: Vec<usize> = labels
         .iter()
@@ -39,6 +40,7 @@ pub fn filter_partitions(labels: &[PartitionLabel]) -> Vec<PartitionLabel> {
 /// scenarios 2 and 3 even the partitions at the ends of the space are
 /// eventually lost. Provided for the ablation study and as executable
 /// documentation of why the simultaneous rule matters.
+#[allow(clippy::indexing_slicing, reason = "windows(3) yields three positions into out")]
 pub fn filter_partitions_incremental(labels: &[PartitionLabel]) -> Vec<PartitionLabel> {
     let mut out = labels.to_vec();
     loop {

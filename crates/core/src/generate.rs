@@ -48,6 +48,7 @@ pub struct AblationFlags {
 ///
 /// A panic inside Algorithm 1 is raised again here; it never comes back as
 /// an empty conjunction.
+#[allow(clippy::panic, reason = "re-raises a pipeline panic caught at an attribute's slot")]
 pub fn generate_predicates(
     dataset: &Dataset,
     abnormal: &Region,
@@ -67,7 +68,6 @@ pub fn generate_predicates(
         Ok(predicates) => predicates,
         // An unlimited budget never expires or cancels, so the only error
         // is a panic caught at an attribute's slot.
-        // sherlock-lint: allow(panic-path): re-raises a caught pipeline panic
         Err(e) => panic!("{e}"),
     }
 }

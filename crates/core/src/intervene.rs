@@ -266,8 +266,8 @@ pub fn validate_explanation(
     // symptom model on the re-run. Returns (separation score, retries used).
     let results = try_par_map_indexed(cfg.exec, "intervene", &specs, |_, spec| {
         #[cfg(any(test, feature = "chaos"))]
+        #[allow(clippy::panic, reason = "deliberate chaos tripwire (see chaos module docs)")]
         if spec.cause.as_deref() == Some(crate::chaos::PANIC_INTERVENTION) {
-            // sherlock-lint: allow(panic-path): deliberate chaos tripwire (see chaos module docs)
             panic!("chaos: deliberate panic injecting {:?}", crate::chaos::PANIC_INTERVENTION);
         }
         let mut last_err = SherlockError::EmptyInput("intervention trial");

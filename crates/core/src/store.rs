@@ -433,6 +433,10 @@ pub enum StoreFault {
 
 impl StoreFault {
     /// Inflict this fault on `path` in place.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "FlipBit clamps its byte to len - 1 after the emptiness check"
+    )]
     pub fn apply(&self, path: &Path) -> std::io::Result<()> {
         let mut bytes = fs::read(path)?;
         match *self {
@@ -443,7 +447,6 @@ impl StoreFault {
                     return Ok(());
                 }
                 let at = byte.min(bytes.len() - 1);
-                // sherlock-lint: allow(panic-path): index clamped to len-1, emptiness checked
                 bytes[at] ^= 1 << (bit % 8);
             }
             StoreFault::DuplicateRecord => {
@@ -453,7 +456,7 @@ impl StoreFault {
         }
         // Faults are injected while nothing is mid-save, so a plain
         // truncating rewrite is fine here — this is the *injector*, not the
-        // store. sherlock-lint: allow(raw-fs-write): fault injector writes
+        // store. The fault injector writes
         // deliberately unsafely.
         let mut file = OpenOptions::new().write(true).truncate(true).open(path)?;
         file.write_all(&bytes)?;

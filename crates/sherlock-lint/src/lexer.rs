@@ -214,11 +214,11 @@ pub fn lex(source: &str) -> LexOutput {
             out.tokens.push(Token { kind: Tok::Op(op), line });
             continue;
         }
-        if let Some(idx) = SINGLE_OPS.find(c) {
+        // Re-slice the op table for a 'static str.
+        if let Some(op) = SINGLE_OPS.find(c).and_then(|idx| SINGLE_OPS.get(idx..idx + c.len_utf8()))
+        {
             let line = cur.line;
             cur.bump();
-            // Safe re-slice of the op table for a 'static str.
-            let op = &SINGLE_OPS[idx..idx + c.len_utf8()];
             out.tokens.push(Token { kind: Tok::Op(op), line });
             continue;
         }
@@ -233,10 +233,9 @@ fn record_allows(comment: &str, line: u32, out: &mut LexOutput) {
     for (marker, file_wide) in
         [("sherlock-lint: allow-file(", true), ("sherlock-lint: allow(", false)]
     {
-        let Some(start) = comment.find(marker) else { continue };
-        let rest = &comment[start + marker.len()..];
-        let Some(end) = rest.find(')') else { continue };
-        let rules = rest[..end].split(',').map(|r| r.trim().to_string()).filter(|r| !r.is_empty());
+        let Some((_, rest)) = comment.split_once(marker) else { continue };
+        let Some((list, _)) = rest.split_once(')') else { continue };
+        let rules = list.split(',').map(|r| r.trim().to_string()).filter(|r| !r.is_empty());
         if file_wide {
             out.file_allows.extend(rules);
         } else {

@@ -1,7 +1,19 @@
 #![warn(missing_docs)]
-// The analyzer polices panic-paths in the rest of the workspace, so it holds
-// itself to the same bar: no unwrap/expect in library code.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// The analyzer holds itself to the workspace's panic policy: clippy denies
+// every panic lint below in library code (tests may panic freely).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 //! `sherlock-lint` — a zero-dependency static analyzer for domain invariants
 //! the ordinary toolchain cannot express.
@@ -10,33 +22,35 @@
 //! predicate partitioning, the Eq. 3 confidence score, DBSCAN, and the
 //! mutual-information filter. A single NaN-unsafe comparison, panicking
 //! index, or unseeded RNG silently corrupts diagnoses or breaks bench
-//! reproducibility. `clippy` covers the generic half of that surface; this
-//! crate covers the domain half (see [`rules::RuleKind`]) in four layers.
+//! reproducibility. `clippy` covers the generic half of that surface: the
+//! crate roots deny its panic lints in library code (`unwrap_used`,
+//! `expect_used`, `indexing_slicing`, `string_slice`, `panic`,
+//! `unreachable`, `todo`, `unimplemented`), and the root `clippy.toml`
+//! bans raw thread spawns, panic-hook swaps and entropy-seeded RNGs
+//! through `disallowed-methods`. Accepted sites carry
+//! `#[allow(clippy::…, reason = "…")]` on their statement or function.
+//! This crate covers the domain half (see [`rules::RuleKind`]) in four
+//! layers.
 //!
 //! **Token rules** pattern-match the lexer's stream directly:
 //!
-//! * `panic-path` — `unwrap()` / `expect()` / `panic!` / `unreachable!` /
-//!   `[]`-indexing in non-`#[cfg(test)]` library code.
 //! * `nan-unsafe` — float `==` / `!=`, `partial_cmp(..).unwrap()`, and bare
 //!   `partial_cmp` inside sort comparators (use `f64::total_cmp`).
-//! * `unseeded-rng` — `thread_rng()` / `from_entropy()` / other
-//!   entropy-seeded RNG construction (benches must be reproducible).
 //! * `deny-header` — every crate root must carry the
-//!   `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]`
-//!   header so clippy enforces the panic policy at compile time.
-//! * `raw-spawn` — bare `thread::spawn`/`thread::scope` outside the
-//!   execution layer (parallelism routes through `par_map_indexed`).
-//! * `raw-fs-write` — bare `fs::write` outside the crash-safe store.
+//!   `#![cfg_attr(not(test), deny(clippy::unwrap_used, …))]` header naming
+//!   every lint of [`rules::PANIC_POLICY`], so clippy enforces the panic
+//!   policy at compile time.
 //!
 //! **Semantic rules** run on the [`syntax`] layer — a delimiter tree with
 //! import resolution and a per-scope binding table — so they can reason
 //! about *what a name is* rather than what it looks like ([`semantic`]):
 //!
+//! * `panic-path` — `[]`-indexing a `HashMap`/`BTreeMap` in non-test
+//!   library code (panics on a missing key; clippy's `indexing_slicing`
+//!   does not cover map `Index`).
 //! * `nondeterministic-iteration` — iterating a `HashMap`/`HashSet` into
 //!   ordered output without a sort (threatens the bit-identical parallel
 //!   diagnosis guarantee).
-//! * `raw-panic-hook` — `panic::set_hook`/`take_hook` anywhere outside
-//!   `chaos::quiet_panics` (hook swaps are process-global and race).
 //! * `budget-blind-loop` — a loop in a budget-carrying pipeline stage that
 //!   does real work but never polls the `ArmedBudget`/`CancelFlag`.
 //! * `unsynced-store-write` — filesystem mutation (`fs::write`, `rename`,
@@ -81,16 +95,14 @@
 //!   `tools/lint-certificate.json`, which CI diffs.
 //!
 //! The build is hermetic, so everything here is hand-rolled on `std`: a
-//! token-level Rust lexer ([`lexer`]) instead of `syn`, a tiny JSON emitter
-//! instead of `serde`, and a plain-text suppression baseline
-//! ([`baseline`], checked in at `tools/lint-baseline.txt`) that freezes
-//! historical findings so CI fails only on *new* violations.
+//! token-level Rust lexer ([`lexer`]) instead of `syn`, and a tiny JSON
+//! emitter instead of `serde`. There is no suppression baseline: each
+//! finding is fixed or acknowledged in place.
 //!
 //! Per-line escapes: end a line (or the line above) with
 //! `// sherlock-lint: allow(<rule>[, <rule>])` to acknowledge a finding in
 //! place, with the justification in the same comment.
 
-pub mod baseline;
 pub mod flow;
 pub mod lexer;
 pub mod rules;
@@ -99,7 +111,6 @@ pub mod syntax;
 pub mod taint;
 pub mod workspace;
 
-pub use baseline::Baseline;
 pub use rules::{FileClass, Finding, RuleKind, TraceKind, TraceStep};
 pub use taint::{certify, Certificate, TaintIndex};
 pub use workspace::{scan_workspace, scan_workspace_with_taint, ScanConfig};

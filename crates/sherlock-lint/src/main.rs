@@ -1,16 +1,14 @@
 //! `sherlock-lint` CLI.
 //!
 //! ```text
-//! cargo run -p sherlock-lint --                 # lint the workspace vs the baseline
-//! cargo run -p sherlock-lint -- --update-baseline
-//! cargo run -p sherlock-lint -- --json
-//! cargo run -p sherlock-lint -- --rule nan-unsafe --no-baseline
+//! cargo run -p sherlock-lint --                 # lint the workspace
+//! cargo run -p sherlock-lint -- --rule nan-unsafe
 //! cargo run -p sherlock-lint -- --github       # CI annotations
 //! cargo run -p sherlock-lint -- --sarif        # SARIF 2.1.0 (code scanning upload)
 //! cargo run -p sherlock-lint -- --certify      # write tools/lint-certificate.json
 //! ```
 //!
-//! Exit codes: `0` clean, `1` new findings, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 //! Under `--certify`, `0` means certified, `1` means a clause failed.
 
 use std::path::PathBuf;
@@ -18,7 +16,7 @@ use std::process::ExitCode;
 
 use sherlock_lint::rules::RuleKind;
 use sherlock_lint::workspace::{find_workspace_root, scan_workspace_with_taint, ScanConfig};
-use sherlock_lint::Baseline;
+use sherlock_lint::Finding;
 
 const USAGE: &str = "\
 sherlock-lint — domain-invariant static analyzer for the dbsherlock workspace
@@ -28,13 +26,9 @@ USAGE:
 
 OPTIONS:
     --root <DIR>        workspace root (default: auto-detected from cwd)
-    --baseline <FILE>   baseline file (default: <root>/tools/lint-baseline.txt)
-    --update-baseline   rewrite the baseline to the current findings and exit 0
-    --no-baseline       report every finding, ignoring the baseline
     --rule <NAME>       run only this rule (repeatable); default: all rules
-    --json              machine-readable output
-    --github            GitHub Actions `::error` annotations for new findings
-    --sarif             SARIF 2.1.0 output for new findings (code scanning)
+    --github            GitHub Actions `::error` annotations for findings
+    --sarif             SARIF 2.1.0 output for findings (code scanning)
     --certify           run the full rule set, write <root>/tools/lint-certificate.json,
                         print it, and exit 0 iff every certified entry point is clean
     --list-rules        print the rule names and exit
@@ -43,40 +37,21 @@ OPTIONS:
 
 struct Args {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
-    no_baseline: bool,
     rules: Vec<RuleKind>,
-    json: bool,
     github: bool,
     sarif: bool,
     certify: bool,
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
-    let mut args = Args {
-        root: None,
-        baseline: None,
-        update_baseline: false,
-        no_baseline: false,
-        rules: Vec::new(),
-        json: false,
-        github: false,
-        sarif: false,
-        certify: false,
-    };
+    let mut args =
+        Args { root: None, rules: Vec::new(), github: false, sarif: false, certify: false };
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--root" => {
                 args.root = Some(PathBuf::from(iter.next().ok_or("--root needs a value")?));
             }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(iter.next().ok_or("--baseline needs a value")?));
-            }
-            "--update-baseline" => args.update_baseline = true,
-            "--no-baseline" => args.no_baseline = true,
-            "--json" => args.json = true,
             "--github" => args.github = true,
             "--sarif" => args.sarif = true,
             "--certify" => args.certify = true,
@@ -162,97 +137,31 @@ fn run(args: Args) -> Result<bool, String> {
     let (findings, _) = scan_workspace_with_taint(&config)
         .map_err(|e| format!("scanning {}: {e}", root.display()))?;
 
-    let baseline_path =
-        args.baseline.unwrap_or_else(|| root.join("tools").join("lint-baseline.txt"));
-
-    if args.update_baseline {
-        Baseline::write(&baseline_path, &findings)
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "baseline updated: {} findings frozen in {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return Ok(true);
-    }
-
-    let baseline = if args.no_baseline {
-        Baseline::default()
-    } else {
-        Baseline::load(&baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?
-    };
-    let diff = baseline.diff(&findings);
-
     if args.sarif {
-        print!("{}", render_sarif(&diff));
-    } else if args.json {
-        print!("{}", render_json(&diff, &findings));
+        print!("{}", render_sarif(&findings));
     } else {
-        for finding in &diff.new {
+        for finding in &findings {
             if args.github {
                 println!("{}", finding.render_github());
             } else {
                 println!("{}", finding.render());
             }
         }
-        eprintln!(
-            "sherlock-lint: {} finding(s): {} new, {} baselined, {} stale baseline entr{}",
-            findings.len(),
-            diff.new.len(),
-            diff.baselined,
-            diff.stale,
-            if diff.stale == 1 { "y" } else { "ies" },
-        );
-        if diff.stale > 0 {
+        eprintln!("sherlock-lint: {} finding(s)", findings.len());
+        if !findings.is_empty() {
             eprintln!(
-                "sherlock-lint: run with --update-baseline to drop entries for fixed findings"
-            );
-        }
-        if !diff.new.is_empty() {
-            eprintln!(
-                "sherlock-lint: fix the new findings, add a `// sherlock-lint: allow(<rule>): \
-                 <why>` escape, or (last resort) --update-baseline"
+                "sherlock-lint: fix each finding, or acknowledge it in place with a \
+                 `// sherlock-lint: allow(<rule>): <why>` escape"
             );
         }
     }
-    Ok(diff.new.is_empty())
-}
-
-/// Hand-rolled JSON (the crate is dependency-free by design).
-fn render_json(diff: &sherlock_lint::baseline::Diff<'_>, all: &[sherlock_lint::Finding]) -> String {
-    let mut out = String::from("{\n  \"new\": [\n");
-    for (i, f) in diff.new.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!(
-            "\"rule\": {}, \"path\": {}, \"line\": {}, \"snippet\": {}, \"message\": {}",
-            json_str(f.rule.name()),
-            json_str(&f.path),
-            f.line,
-            json_str(&f.snippet),
-            json_str(&f.message),
-        ));
-        out.push('}');
-        if i + 1 < diff.new.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"total\": {}, \"new_count\": {}, \"baselined\": {}, \"stale\": {}\n}}\n",
-        all.len(),
-        diff.new.len(),
-        diff.baselined,
-        diff.stale
-    ));
-    out
+    Ok(findings.is_empty())
 }
 
 /// SARIF 2.1.0, one run: rule metadata from [`RuleKind`], one `result` with
-/// a physical location per *new* finding (baselined findings are accepted
-/// history, not alerts). Consumed by `github/codeql-action/upload-sarif`.
-fn render_sarif(diff: &sherlock_lint::baseline::Diff<'_>) -> String {
+/// a physical location per finding. Consumed by
+/// `github/codeql-action/upload-sarif`.
+fn render_sarif(findings: &[Finding]) -> String {
     let mut out = String::from(
         "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
          \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \
@@ -268,7 +177,7 @@ fn render_sarif(diff: &sherlock_lint::baseline::Diff<'_>) -> String {
         ));
     }
     out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
-    for (i, f) in diff.new.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         let rule_index = RuleKind::ALL.iter().position(|r| *r == f.rule).unwrap_or(0);
         out.push_str(&format!(
             "        {{\"ruleId\": {}, \"ruleIndex\": {rule_index}, \"level\": \"error\", \
@@ -280,7 +189,7 @@ fn render_sarif(diff: &sherlock_lint::baseline::Diff<'_>) -> String {
             json_str(&f.path),
             f.line.max(1),
             render_code_flow(f),
-            if i + 1 < diff.new.len() { "," } else { "" },
+            if i + 1 < findings.len() { "," } else { "" },
         ));
     }
     out.push_str("      ]\n    }\n  ]\n}\n");
@@ -290,7 +199,7 @@ fn render_sarif(diff: &sherlock_lint::baseline::Diff<'_>) -> String {
 /// A SARIF `codeFlow` for a finding that carries a taint/reachability
 /// trace: one threadFlow whose locations walk source → sanitizer-miss →
 /// sink (or entry → call → panic). Empty string when there is no trace.
-fn render_code_flow(f: &sherlock_lint::Finding) -> String {
+fn render_code_flow(f: &Finding) -> String {
     if f.trace.is_empty() {
         return String::new();
     }

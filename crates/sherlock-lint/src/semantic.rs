@@ -1,16 +1,15 @@
 //! Scope-aware rules over the [`crate::syntax`] layer.
 //!
 //! Token rules ask "does this *look* like a violation"; semantic rules ask
-//! "is this name *actually* a `HashMap` / an `ArmedBudget` / a hook swap
-//! outside the sanctioned wrapper". Each rule here walks the
-//! [`FileSyntax`] binding and import tables instead of raw tokens, which
-//! is what lets the baselines for `nondeterministic-iteration` and
-//! `raw-panic-hook` stay *empty*: the rules are precise enough that every
-//! real site is either fixed or carries an inline justification.
+//! "is this name *actually* a `HashMap` / an `ArmedBudget`". Each rule here
+//! walks the [`FileSyntax`] binding and import tables instead of raw
+//! tokens, which is what lets them hold the workspace at zero findings:
+//! the rules are precise enough that every real site is either fixed or
+//! carries an inline justification.
 //!
 //! Findings are funneled through the same emit path as the token rules
-//! (`rules::scan_source`), so allow-escapes, file allows, rule selection
-//! and baselining behave identically for both layers.
+//! (`rules::scan_source`), so allow-escapes, file allows and rule
+//! selection behave identically for both layers.
 
 use crate::lexer::{Tok, Token};
 use crate::rules::{FileClass, RuleKind};
@@ -18,6 +17,9 @@ use crate::syntax::FileSyntax;
 
 /// Container types whose iteration order is arbitrary.
 pub(crate) const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+
+/// Map types whose `Index` impl panics on a missing key (`panic-path`).
+const MAP_TYPES: &[&str] = &["HashMap", "BTreeMap"];
 
 /// Containers whose *contents* are order-insensitive: collecting a hash
 /// iteration into one of these launders no ordering into the output.
@@ -146,7 +148,7 @@ const BOUNDERS: &[&str] = &[
 
 /// Run every requested semantic rule over one file, reporting through
 /// `emit(rule, line, message)` (the same closure the token rules use, so
-/// allow-escapes and baselining apply uniformly).
+/// allow-escapes apply uniformly).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_semantic(
     path: &str,
@@ -159,11 +161,11 @@ pub(crate) fn scan_semantic(
     emit: &mut dyn FnMut(RuleKind, u32, String),
 ) {
     let ctx = Ctx { toks, syn, test_mask };
+    if rules.contains(&RuleKind::PanicPath) && class == FileClass::Lib {
+        map_index(&ctx, emit);
+    }
     if rules.contains(&RuleKind::NondetIteration) && class == FileClass::Lib {
         nondet_iteration(&ctx, emit);
-    }
-    if rules.contains(&RuleKind::RawPanicHook) {
-        raw_panic_hook(&ctx, emit);
     }
     if rules.contains(&RuleKind::BudgetBlindLoop) && class == FileClass::Lib {
         budget_blind_loop(&ctx, index, emit);
@@ -213,6 +215,10 @@ impl Ctx<'_> {
         self.test_mask.get(i).copied().unwrap_or(false)
     }
 
+    fn line(&self, i: usize) -> u32 {
+        self.toks.get(i).map_or(0, |t| t.line)
+    }
+
     /// Is token `i` a method call `.name(` or `.name::<…>(`?
     fn is_method_call(&self, i: usize, names: &[&str]) -> bool {
         i >= 1
@@ -226,10 +232,11 @@ impl Ctx<'_> {
     fn stmt_scope(&self, i: usize) -> Option<usize> {
         let mut scope = self.syn.enclosing.get(i).copied().flatten();
         while let Some(id) = scope {
-            if self.syn.groups[id].delim == crate::syntax::Delim::Brace {
+            let group = self.syn.groups.get(id)?;
+            if group.delim == crate::syntax::Delim::Brace {
                 break;
             }
-            scope = self.syn.groups[id].parent;
+            scope = group.parent;
         }
         scope
     }
@@ -239,12 +246,13 @@ impl Ctx<'_> {
     /// the call parens `i` may sit inside — stay inside the span).
     fn stmt_span(&self, i: usize) -> (usize, usize) {
         let scope = self.stmt_scope(i);
-        let (scope_open, scope_close) = match scope {
-            Some(id) => (self.syn.groups[id].open, self.syn.groups[id].close),
+        let (scope_open, scope_close) = match scope.and_then(|id| self.syn.groups.get(id)) {
+            Some(group) => (group.open, group.close),
             None => (0, self.toks.len()),
         };
         let at_scope = |k: usize| self.syn.enclosing.get(k).copied().flatten() == scope;
-        let boundary = |k: usize| matches!(self.toks[k].kind, Tok::Op(";" | "{" | "}"));
+        let boundary =
+            |k: usize| matches!(self.toks.get(k).map(|t| &t.kind), Some(Tok::Op(";" | "{" | "}")));
         let mut start = i;
         while start > scope_open + usize::from(scope.is_some()) {
             if at_scope(start - 1) && boundary(start - 1) {
@@ -264,9 +272,29 @@ impl Ctx<'_> {
 
     /// End of the statement scope (nearest brace group) containing `i`.
     fn scope_close(&self, i: usize) -> usize {
-        match self.stmt_scope(i) {
-            Some(id) => self.syn.groups[id].close,
-            None => self.toks.len(),
+        self.stmt_scope(i)
+            .and_then(|id| self.syn.groups.get(id))
+            .map_or(self.toks.len(), |g| g.close)
+    }
+}
+
+// ----- panic-path ---------------------------------------------------------
+
+/// `m[key]` where `m` resolves to a map binding or field: clippy's
+/// `indexing_slicing` covers slices, arrays and `Vec`, but not map `Index`.
+fn map_index(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
+    for (i, tok) in ctx.toks.iter().enumerate().skip(1) {
+        if !matches!(tok.kind, Tok::Op("[")) || ctx.in_test(i) {
+            continue;
+        }
+        let Some(recv) = ctx.ident(i - 1) else { continue };
+        let Some(ty) = ctx.syn.receiver_type(ctx.toks, i - 1) else { continue };
+        if MAP_TYPES.contains(&ty) {
+            emit(
+                RuleKind::PanicPath,
+                tok.line,
+                format!("`{recv}[..]` on a `{ty}` panics on a missing key; use .get()"),
+            );
         }
     }
 }
@@ -286,7 +314,7 @@ fn nondet_iteration(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) 
                     let head = ctx.ident(i).unwrap_or_default();
                     emit(
                         RuleKind::NondetIteration,
-                        ctx.toks[i].line,
+                        ctx.line(i),
                         format!(
                             "`.{head}()` on a `{ty}` yields arbitrary order; sort the \
                              results or use a BTreeMap/BTreeSet"
@@ -300,7 +328,7 @@ fn nondet_iteration(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) 
             if let Some((recv, ty)) = for_loop_hash_source(ctx, i) {
                 emit(
                     RuleKind::NondetIteration,
-                    ctx.toks[i].line,
+                    ctx.line(i),
                     format!(
                         "`for` over `{recv}` (a `{ty}`) visits entries in arbitrary \
                          order; iterate a sorted copy or use a BTreeMap/BTreeSet"
@@ -410,38 +438,6 @@ fn for_loop_hash_source(ctx: &Ctx<'_>, i: usize) -> Option<(String, &'static str
     Some((place.join("."), ty))
 }
 
-// ----- raw-panic-hook ---------------------------------------------------
-
-fn raw_panic_hook(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
-    for i in 0..ctx.toks.len() {
-        let Some(name @ ("set_hook" | "take_hook")) = ctx.ident(i) else { continue };
-        if !ctx.op(i + 1, "(") {
-            continue;
-        }
-        // Qualified `panic::set_hook(` / `std::panic::take_hook(`, or the
-        // bare name imported from `std::panic`.
-        let qualified = i >= 2 && ctx.op(i - 1, "::") && ctx.ident(i - 2) == Some("panic");
-        let imported =
-            !ctx.op(i.wrapping_sub(1), "::") && ctx.syn.resolves_into(name, &["std", "panic"]);
-        if !qualified && !imported {
-            continue;
-        }
-        // The one sanctioned home for hook swaps (applies in tests too:
-        // the hook is process-global and the test harness is parallel).
-        if ctx.syn.enclosing_fn(i).is_some_and(|f| f.name == "quiet_panics") {
-            continue;
-        }
-        emit(
-            RuleKind::RawPanicHook,
-            ctx.toks[i].line,
-            format!(
-                "`panic::{name}` swaps process-global state and races concurrent \
-                 tests; wrap the region in chaos::quiet_panics instead"
-            ),
-        );
-    }
-}
-
 // ----- budget-blind-loop ------------------------------------------------
 
 fn budget_blind_loop(
@@ -519,7 +515,7 @@ fn budget_blind_loop(
             if works {
                 emit(
                     RuleKind::BudgetBlindLoop,
-                    ctx.toks[i].line,
+                    ctx.line(i),
                     format!(
                         "`{kw}` loop in a budget-carrying stage never polls `{}`; \
                          check the budget (or CancelFlag) each iteration so \
@@ -541,22 +537,24 @@ fn loop_body(ctx: &Ctx<'_>, i: usize, kw: &str) -> Option<(usize, usize)> {
         if !ctx.op(i + 1, "{") {
             return None;
         }
-        let id = ctx.syn.group_at_opener(i + 1)?;
-        return Some((ctx.syn.groups[id].open, ctx.syn.groups[id].close));
+        return group_span(ctx, i + 1);
     }
     let mut k = i + 1;
-    while k < ctx.toks.len() {
+    while let Some(tok) = ctx.toks.get(k) {
         let at_scope = ctx.syn.enclosing.get(k).copied().flatten() == scope;
-        match &ctx.toks[k].kind {
-            Tok::Op("{") if at_scope => {
-                let id = ctx.syn.group_at_opener(k)?;
-                return Some((ctx.syn.groups[id].open, ctx.syn.groups[id].close));
-            }
+        match &tok.kind {
+            Tok::Op("{") if at_scope => return group_span(ctx, k),
             Tok::Op(";" | "}") if at_scope => return None,
             _ => k += 1,
         }
     }
     None
+}
+
+/// `(open, close)` token span of the group opened at token `open`.
+fn group_span(ctx: &Ctx<'_>, open: usize) -> Option<(usize, usize)> {
+    let group = ctx.syn.groups.get(ctx.syn.group_at_opener(open)?)?;
+    Some((group.open, group.close))
 }
 
 // ----- unbounded-channel --------------------------------------------------
@@ -609,8 +607,7 @@ fn unbounded_channel(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String))
             let grower = ctx.ident(i).unwrap_or_default();
             emit(
                 RuleKind::UnboundedChannel,
-                // sherlock-lint: allow(panic-path): i is a scanned token index
-                ctx.toks[i].line,
+                ctx.line(i),
                 format!(
                     "`{recv}.{grower}` grows a `{ty}` every loop iteration with no \
                      capacity check on `{recv}`; daemon buffers fed by clients must \
@@ -642,7 +639,7 @@ fn unbounded_retry(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
             (k > open
                 && ctx.ident(k).is_some_and(|n| RETRY_SLEEPS.contains(&n))
                 && ctx.op(k + 1, "("))
-            .then(|| ctx.toks[k].line) // sherlock-lint: allow(panic-path): scanned index
+            .then(|| ctx.line(k))
         });
         let Some(line) = sleep_line else { continue };
         let guarded = span.clone().any(|k| {
@@ -685,7 +682,7 @@ fn unsynced_store_write(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, Strin
             if qualified_by("fs") || bare_import {
                 emit(
                     RuleKind::UnsyncedStoreWrite,
-                    ctx.toks[i].line,
+                    ctx.line(i),
                     format!(
                         "`fs::{name}` mutates the filesystem outside the store module; \
                          a crash mid-operation tears the artifact — persist through \
@@ -703,7 +700,7 @@ fn unsynced_store_write(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, Strin
             if is_fs_file {
                 emit(
                     RuleKind::UnsyncedStoreWrite,
-                    ctx.toks[i].line,
+                    ctx.line(i),
                     "`File::create` truncates in place outside the store module; \
                      persist through dbsherlock_core::store::ModelStore"
                         .to_string(),
@@ -721,7 +718,7 @@ fn unsynced_store_write(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, Strin
             if writable {
                 emit(
                     RuleKind::UnsyncedStoreWrite,
-                    ctx.toks[i].line,
+                    ctx.line(i),
                     "writable `OpenOptions` outside the store module; persist through \
                      dbsherlock_core::store::ModelStore"
                         .to_string(),
@@ -823,33 +820,6 @@ mod tests {
         // Tests/benches/bins are exempt: ordering there fails loudly.
         assert!(hits(&unallowed, RuleKind::NondetIteration, FileClass::Other).is_empty());
         assert_eq!(hits(&unallowed, RuleKind::NondetIteration, FileClass::Lib).len(), 1);
-    }
-
-    // ----- raw-panic-hook ------------------------------------------------
-
-    #[test]
-    fn panic_hook_flagged_qualified_and_imported() {
-        let qualified = "fn f() { let h = std::panic::take_hook(); std::panic::set_hook(h); }";
-        assert_eq!(hits(qualified, RuleKind::RawPanicHook, FileClass::Lib).len(), 2);
-        let imported = "use std::panic::set_hook;\nfn f() { set_hook(Box::new(|_| {})); }";
-        assert_eq!(hits(imported, RuleKind::RawPanicHook, FileClass::Lib), vec![2]);
-        // Applies to test code and non-lib files too: hooks are process-global.
-        let in_test = "#[cfg(test)]\nmod t { fn f() { std::panic::set_hook(Box::new(|_| {})); } }";
-        assert_eq!(hits(in_test, RuleKind::RawPanicHook, FileClass::Other).len(), 1);
-    }
-
-    #[test]
-    fn panic_hook_quiet_panics_is_the_sanctioned_home() {
-        let src = "pub fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {\n\
-                   let hook = std::panic::take_hook();\n\
-                   std::panic::set_hook(Box::new(|_| {}));\n\
-                   let out = f();\n\
-                   std::panic::set_hook(hook);\n\
-                   out\n}";
-        assert!(hits(src, RuleKind::RawPanicHook, FileClass::Lib).is_empty());
-        // Unrelated `set_hook` methods (no panic path, no import) are not ours.
-        let method = "fn f(reg: &mut Registry) { reg.set_hook(h); }";
-        assert!(hits(method, RuleKind::RawPanicHook, FileClass::Lib).is_empty());
     }
 
     // ----- budget-blind-loop ---------------------------------------------
@@ -1163,7 +1133,7 @@ mod tests {
         assert!(hits(reads, RuleKind::UnsyncedStoreWrite, FileClass::Lib).is_empty());
         assert!(hits(src, RuleKind::UnsyncedStoreWrite, FileClass::Other).is_empty());
         let allowed = "fn save(p: &Path) {\n\
-                       // sherlock-lint: allow(unsynced-store-write): lint baseline file\n\
+                       // sherlock-lint: allow(unsynced-store-write): re-runnable report\n\
                        std::fs::write(p, b\"x\");\n}";
         assert!(hits(allowed, RuleKind::UnsyncedStoreWrite, FileClass::Lib).is_empty());
     }

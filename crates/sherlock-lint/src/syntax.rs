@@ -169,8 +169,8 @@ impl FileSyntax {
                             parent: current,
                             children: Vec::new(),
                         });
-                        if let Some(parent) = current {
-                            self.groups[parent].children.push(id);
+                        if let Some(parent) = current.and_then(|p| self.groups.get_mut(p)) {
+                            parent.children.push(id);
                         }
                         stack.push(id);
                     }
@@ -178,9 +178,9 @@ impl FileSyntax {
                         // A closer matching the innermost open group closes
                         // it; anything else (stray or mismatched) stays a
                         // plain token so the tree never desyncs.
-                        match current {
-                            Some(id) if self.groups[id].delim == delim => {
-                                self.groups[id].close = i;
+                        match current.and_then(|id| self.groups.get_mut(id)) {
+                            Some(group) if group.delim == delim => {
+                                group.close = i;
                                 stack.pop();
                                 self.enclosing.push(stack.last().copied());
                             }
@@ -200,16 +200,20 @@ impl FileSyntax {
     /// round-trip invariant the proptest suite checks.
     pub fn reconstruct(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.n_tokens);
-        let roots: Vec<usize> =
-            (0..self.groups.len()).filter(|&g| self.groups[g].parent.is_none()).collect();
+        let roots: Vec<usize> = self
+            .groups
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.parent.is_none())
+            .map(|(id, _)| id)
+            .collect();
         self.emit_span(0, self.n_tokens, &roots, &mut out);
         out
     }
 
     fn emit_span(&self, from: usize, to: usize, groups: &[usize], out: &mut Vec<usize>) {
         let mut cursor = from;
-        for &g in groups {
-            let group = &self.groups[g];
+        for group in groups.iter().filter_map(|&g| self.groups.get(g)) {
             // Plain tokens before this child group.
             out.extend(cursor..group.open);
             out.push(group.open);
@@ -228,7 +232,7 @@ impl FileSyntax {
     /// Innermost group containing token `i` (the group whose span strictly
     /// encloses it), if any.
     pub fn group_of(&self, i: usize) -> Option<&Group> {
-        self.enclosing.get(i).copied().flatten().map(|id| &self.groups[id])
+        self.enclosing.get(i).copied().flatten().and_then(|id| self.groups.get(id))
     }
 
     /// Id of the group whose opening delimiter is token `open`. (Every open
@@ -241,12 +245,17 @@ impl FileSyntax {
         self.groups.binary_search_by_key(&open, |g| g.open).ok()
     }
 
+    /// Closing token of the group opened at token `open`.
+    fn group_close(&self, open: usize) -> Option<usize> {
+        self.group_at_opener(open).and_then(|id| self.groups.get(id)).map(|g| g.close)
+    }
+
     // ----- imports -----------------------------------------------------
 
     fn collect_imports(&mut self, tokens: &[Token]) {
         let mut i = 0;
         while i < tokens.len() {
-            if matches!(&tokens[i].kind, Tok::Ident(name) if name == "use") {
+            if matches!(tokens.get(i).map(|t| &t.kind), Some(Tok::Ident(name)) if name == "use") {
                 i = self.parse_use_tree(tokens, i + 1, &[]);
             } else {
                 i += 1;
@@ -284,8 +293,7 @@ impl FileSyntax {
                 }
                 Some(Tok::Op("{")) => {
                     // Group: parse each comma-separated subtree.
-                    let close =
-                        self.group_at_opener(i).map_or(tokens.len(), |id| self.groups[id].close);
+                    let close = self.group_close(i).unwrap_or(tokens.len());
                     let mut j = i + 1;
                     while j < close {
                         let next = self.parse_use_tree(tokens, j, &path);
@@ -293,7 +301,9 @@ impl FileSyntax {
                         // op, …) parses to nothing and returns `j` unchanged;
                         // force progress so malformed input cannot loop.
                         j = next.max(j + 1);
-                        while j < close && matches!(tokens[j].kind, Tok::Op(",")) {
+                        while j < close
+                            && matches!(tokens.get(j).map(|t| &t.kind), Some(Tok::Op(",")))
+                        {
                             j += 1;
                         }
                     }
@@ -343,8 +353,8 @@ impl FileSyntax {
     // ----- structs ------------------------------------------------------
 
     fn collect_structs(&mut self, tokens: &[Token]) {
-        for i in 0..tokens.len() {
-            if !matches!(&tokens[i].kind, Tok::Ident(k) if k == "struct") {
+        for (i, tok) in tokens.iter().enumerate() {
+            if !matches!(&tok.kind, Tok::Ident(k) if k == "struct") {
                 continue;
             }
             let Some(Tok::Ident(_name)) = tokens.get(i + 1).map(|t| &t.kind) else { continue };
@@ -373,8 +383,10 @@ impl FileSyntax {
     /// Parse `field: Type` pairs at the top level of the brace group
     /// opening at token `open`.
     fn collect_fields_in(&mut self, tokens: &[Token], open: usize) {
-        let Some(group_id) = self.group_at_opener(open) else { return };
-        let close = self.groups[group_id].close;
+        let (Some(group_id), Some(close)) = (self.group_at_opener(open), self.group_close(open))
+        else {
+            return;
+        };
         let mut i = open + 1;
         while i < close {
             // Only consider `name :` pairs directly inside the group.
@@ -400,7 +412,7 @@ impl FileSyntax {
 
     fn skip_to_comma(&self, tokens: &[Token], mut i: usize, end: usize, group: usize) -> usize {
         while i < end {
-            if matches!(tokens[i].kind, Tok::Op(","))
+            if matches!(tokens.get(i).map(|t| &t.kind), Some(Tok::Op(",")))
                 && self.enclosing.get(i).copied().flatten() == Some(group)
             {
                 return i + 1;
@@ -438,18 +450,18 @@ impl FileSyntax {
                 _ => break,
             }
         }
-        match segments.len() {
-            0 => String::new(),
-            1 => self.resolve(segments[0]).to_string(),
-            _ => segments[segments.len() - 1].to_string(),
+        match segments.as_slice() {
+            [] => String::new(),
+            [only] => self.resolve(only).to_string(),
+            [.., last] => last.to_string(),
         }
     }
 
     // ----- fns ----------------------------------------------------------
 
     fn collect_fns(&mut self, tokens: &[Token]) {
-        for i in 0..tokens.len() {
-            if !matches!(&tokens[i].kind, Tok::Ident(k) if k == "fn") {
+        for (i, tok) in tokens.iter().enumerate() {
+            if !matches!(&tok.kind, Tok::Ident(k) if k == "fn") {
                 continue;
             }
             let Some(Tok::Ident(name)) = tokens.get(i + 1).map(|t| &t.kind) else { continue };
@@ -483,21 +495,19 @@ impl FileSyntax {
         params_id: usize,
         fn_scope: Option<usize>,
     ) {
-        let params_close = self.groups[params_id].close;
+        let Some(params_close) = self.groups.get(params_id).map(|g| g.close) else { return };
         let params = self.parse_params(tokens, params_id);
         // Body: the first brace group that is a *sibling* of the fn item
         // (same enclosing scope) after the parameter list, unless a `;`
         // at that scope ends the item first.
         let mut body = None;
         let mut k = params_close.saturating_add(1);
-        while k < tokens.len() {
+        while let Some(tok) = tokens.get(k) {
             let at_scope = self.enclosing.get(k).copied().flatten() == fn_scope;
-            match &tokens[k].kind {
+            match &tok.kind {
                 Tok::Op(";") if at_scope => break,
                 Tok::Op("{") if at_scope => {
-                    let close =
-                        self.group_at_opener(k).map_or(tokens.len(), |id| self.groups[id].close);
-                    body = Some((k, close));
+                    body = Some((k, self.group_close(k).unwrap_or(tokens.len())));
                     break;
                 }
                 _ => {}
@@ -517,8 +527,8 @@ impl FileSyntax {
 
     /// Parse `name: Type` parameters at the top level of the params group.
     fn parse_params(&self, tokens: &[Token], params_id: usize) -> Vec<(String, String)> {
-        let (open, close) = (self.groups[params_id].open, self.groups[params_id].close);
         let mut params = Vec::new();
+        let Some(&Group { open, close, .. }) = self.groups.get(params_id) else { return params };
         let mut i = open + 1;
         while i < close {
             let at_top = self.enclosing.get(i).copied().flatten() == Some(params_id);
@@ -547,8 +557,8 @@ impl FileSyntax {
     // ----- let bindings -------------------------------------------------
 
     fn collect_lets(&mut self, tokens: &[Token]) {
-        for i in 0..tokens.len() {
-            if !matches!(&tokens[i].kind, Tok::Ident(k) if k == "let") {
+        for (i, tok) in tokens.iter().enumerate() {
+            if !matches!(&tok.kind, Tok::Ident(k) if k == "let") {
                 continue;
             }
             let mut j = i + 1;
@@ -576,7 +586,8 @@ impl FileSyntax {
     /// Index of the `;` ending the statement containing `from` (searching
     /// at `scope` level only), or the end of the scope.
     pub fn statement_end(&self, tokens: &[Token], from: usize, scope: Option<usize>) -> usize {
-        let scope_close = scope.map_or(tokens.len(), |id| self.groups[id].close);
+        let scope_close =
+            scope.and_then(|id| self.groups.get(id)).map_or(tokens.len(), |g| g.close);
         self.find_at_scope(tokens, from, scope_close, scope, ";").unwrap_or(scope_close)
     }
 
@@ -589,7 +600,7 @@ impl FileSyntax {
         op: &str,
     ) -> Option<usize> {
         (from..end.min(tokens.len())).find(|&k| {
-            matches!(&tokens[k].kind, Tok::Op(o) if *o == op)
+            matches!(tokens.get(k).map(|t| &t.kind), Some(Tok::Op(o)) if *o == op)
                 && self.enclosing.get(k).copied().flatten() == scope
         })
     }
@@ -620,17 +631,18 @@ impl FileSyntax {
             }
         }
         const CTORS: &[&str] = &["new", "with_capacity", "default", "from", "from_iter"];
-        if segments.len() >= 2 && CTORS.contains(segments.last().unwrap_or(&"")) {
-            let head = segments[segments.len() - 2];
-            return if segments.len() == 2 {
-                self.resolve(head).to_string()
-            } else {
-                head.to_string()
-            };
+        if let [.., head, ctor] = segments.as_slice() {
+            if CTORS.contains(ctor) {
+                return if segments.len() == 2 {
+                    self.resolve(head).to_string()
+                } else {
+                    head.to_string()
+                };
+            }
         }
         // collect::<Type<…>>() anywhere in the expression.
         for k in from..end.min(tokens.len()) {
-            if matches!(&tokens[k].kind, Tok::Ident(id) if id == "collect")
+            if matches!(tokens.get(k).map(|t| &t.kind), Some(Tok::Ident(id)) if id == "collect")
                 && matches!(tokens.get(k + 1).map(|t| &t.kind), Some(Tok::Op("::")))
                 && matches!(tokens.get(k + 2).map(|t| &t.kind), Some(Tok::Op("<")))
             {
@@ -644,7 +656,8 @@ impl FileSyntax {
                 && matches!(tokens.get(k + 1).map(|t| &t.kind), Some(Tok::Op(".")))
                 && matches!(tokens.get(k + 2).map(|t| &t.kind), Some(Tok::Ident(_)))
             {
-                if matches!(&tokens[k + 2].kind, Tok::Ident(m) if m == "clone") {
+                if matches!(tokens.get(k + 2).map(|t| &t.kind), Some(Tok::Ident(m)) if m == "clone")
+                {
                     return self.receiver_type(tokens, k).unwrap_or_default().to_string();
                 }
                 k += 2;
@@ -665,7 +678,9 @@ impl FileSyntax {
                     && b.tok <= at
                     && match b.scope {
                         None => true,
-                        Some(id) => self.groups[id].contains(at) || self.groups[id].open == b.tok,
+                        Some(id) => {
+                            self.groups.get(id).is_some_and(|g| g.contains(at) || g.open == b.tok)
+                        }
                     }
             })
             .max_by_key(|b| b.tok)
@@ -684,7 +699,9 @@ impl FileSyntax {
         }
         // Field access (`x.field`) if the previous token is a dot —
         // otherwise prefer a visible local binding.
-        let after_dot = i >= 1 && matches!(tokens[i - 1].kind, Tok::Op("."));
+        let after_dot = i
+            .checked_sub(1)
+            .is_some_and(|p| matches!(tokens.get(p).map(|t| &t.kind), Some(Tok::Op("."))));
         if after_dot {
             return self.fields.get(name.as_str()).map(String::as_str);
         }

@@ -82,7 +82,8 @@ fn expected_sanitizer(set: TaintSet) -> &'static str {
 
 // ----- source / sanitizer / sink tables ---------------------------------
 
-/// Entropy-seeded RNG constructors (mirrors the `unseeded-rng` token rule).
+/// Entropy-seeded RNG constructors (clippy.toml bans the ones the vendored
+/// `rand` still has).
 const ENTROPY_SOURCES: &[&str] = &["thread_rng", "from_entropy", "from_os_rng", "try_from_os_rng"];
 
 /// Types whose `::now()` is a wall-clock source.
@@ -354,8 +355,8 @@ fn sink_at(toks: &[Token], syn: &FileSyntax, i: usize) -> Option<(usize, usize, 
     None
 }
 
-/// A panic site at token `i` (the same heuristics as the `panic-path`
-/// token rule): `(description)`.
+/// A panic site at token `i` (the call, macro and `[]`-indexing shapes of
+/// clippy's panic lints): `(description)`.
 fn panic_site_at(toks: &[Token], i: usize) -> Option<&'static str> {
     match &toks.get(i)?.kind {
         Tok::Ident(name) => match name.as_str() {
@@ -1069,7 +1070,7 @@ pub struct Certificate {
 }
 
 /// Evaluate the certificate against a finalized index and the workspace
-/// findings (post allow-filtering, pre baseline).
+/// findings (post allow-filtering).
 pub fn certify(index: &TaintIndex, findings: &[crate::rules::Finding]) -> Certificate {
     let taint_findings = findings.iter().filter(|f| f.rule == RuleKind::TaintDeterminism).count();
     let panic_findings = findings.iter().filter(|f| f.rule == RuleKind::UnisolatedPanic).count();

@@ -1,5 +1,5 @@
-//! Lexer fixture: char literals containing `"` or `[` must not desync the
-//! lexer into treating following code as a string or an index expression.
+//! Lexer fixture: char literals containing `"` or `'` must not desync the
+//! lexer into treating following code as a string.
 
 pub fn chars(input: &str) -> usize {
     let quote = '"';
@@ -14,7 +14,7 @@ pub fn chars(input: &str) -> usize {
     input.matches([quote, bracket, escaped, newline]).count()
 }
 
-pub fn real_index(v: &[u32]) -> u32 {
-    let _ = '[';
-    v[0] // REAL: slice indexing must be reported on this line
+pub fn real_compare(v: f64) -> bool {
+    let _ = '"';
+    v == 1.5 // REAL: float comparison must be reported on this line
 }

@@ -1,5 +1,5 @@
-//! Fixture: bare `fs::write` of artifacts in library code must route
-//! through the crash-safe store (`dbsherlock_core::store::ModelStore`).
+//! Fixture: `unsynced-store-write` flags bare `fs::write` of artifacts in
+//! library code (persist through `dbsherlock_core::store::ModelStore`).
 
 pub fn persists_by_hand(path: &str, body: &str) {
     let _ = std::fs::write(path, body); // REAL
@@ -8,7 +8,6 @@ pub fn persists_by_hand(path: &str, body: &str) {
 
 pub fn reading_and_writer_methods_are_fine(path: &str, buf: &[u8]) {
     let _ = std::fs::read(path);
-    let _ = std::fs::rename(path, "elsewhere");
     let mut sink: Vec<u8> = Vec::new();
     use std::io::Write;
     let _ = sink.write(buf);
@@ -16,7 +15,7 @@ pub fn reading_and_writer_methods_are_fine(path: &str, buf: &[u8]) {
 }
 
 pub fn sanctioned_site(path: &str) {
-    // sherlock-lint: allow(raw-fs-write): pretend this is the store module
+    // sherlock-lint: allow(unsynced-store-write): pretend this is the store module
     let _ = std::fs::write(path, b"checksummed elsewhere");
 }
 

@@ -1,16 +1,16 @@
-//! Lexer fixture: panicky-looking text inside raw strings must not fire,
-//! while real calls after them still must.
+//! Lexer fixture: NaN-unsafe-looking text inside raw strings must not
+//! fire, while real comparisons after them still must.
 
 pub fn raw_strings() -> String {
-    // None of these are real calls — they live inside string literals.
-    let a = r"x.unwrap() and panic!(now)";
-    let b = r#"embedded "quote" then .expect("boom")"#;
-    let c = r##"hash depth two: r#"inner"# .unwrap()"##;
-    let d = "escaped \" quote then .unwrap()";
+    // None of these are real comparisons — they live inside string literals.
+    let a = r"x == 0.5 and y != 1.0";
+    let b = r#"embedded "quote" then a.partial_cmp(&b).unwrap()"#;
+    let c = r##"hash depth two: r#"inner"# z == 2.0"##;
+    let d = "escaped \" quote then w == 3.0";
     format!("{a}{b}{c}{d}")
 }
 
-pub fn real_call_after_raw(v: Option<u32>) -> u32 {
+pub fn real_compare_after_raw(v: f64) -> bool {
     let _decoy = r##"a "# inside needs two hashes"##;
-    v.unwrap() // REAL: must be reported on this line
+    v == 0.5 // REAL: must be reported on this line
 }

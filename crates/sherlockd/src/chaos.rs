@@ -118,7 +118,10 @@ pub fn apply_schedule(lines: &[String], faults: &[IngestFault]) -> Vec<StreamEve
                 while end > 0 && !line.is_char_boundary(end) {
                     end -= 1;
                 }
-                // sherlock-lint: allow(panic-path): end <= line.len() and sits on a char boundary
+                #[allow(
+                    clippy::string_slice,
+                    reason = "end <= line.len() and sits on a char boundary"
+                )]
                 events.push(StreamEvent::Send(line[..end].to_string()));
                 events.push(StreamEvent::Disconnect);
                 return events;

@@ -243,9 +243,12 @@ impl Daemon {
         (0..self.cfg.workers.max(1))
             .filter_map(|i| {
                 let daemon = Arc::clone(self);
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "pool thread; jobs run under try_par_map_indexed, drain() joins it"
+                )]
                 let spawned = std::thread::Builder::new()
                     .name(format!("sherlockd-worker-{i}"))
-                    // sherlock-lint: allow(raw-spawn): long-lived pool thread; panics inside jobs are caught per-job by try_par_map_indexed, and drain() joins every handle
                     .spawn(move || daemon.worker_loop());
                 match spawned {
                     Ok(handle) => Some(handle),
@@ -1086,5 +1089,109 @@ mod tests {
         let lines = buf.lock().unwrap().join("");
         assert!(lines.contains("not after predecessor"), "{lines}");
         assert_eq!(daemon.stats.rows.load(Ordering::Relaxed), 3);
+    }
+
+    /// Protocol-shaped fragments a tape byte picks from: commands, the
+    /// header keyword and kind tags, separators, number syntax, quotes and
+    /// multi-byte characters. `\n` splits the text into lines, as the
+    /// transport does.
+    const FRAGMENTS: &[&str] = &[
+        "tenant ",
+        "t0",
+        "timestamp",
+        "detect",
+        "stats",
+        "quit",
+        ",",
+        ",",
+        "\n",
+        "\n",
+        "\r",
+        ":num",
+        ":cat",
+        "cpu",
+        "state",
+        "0",
+        "1",
+        "9",
+        ".",
+        "-",
+        "e",
+        "NaN",
+        "inf",
+        "\"",
+        " ",
+        "a",
+        "é",
+        "😀",
+    ];
+
+    /// Client lines from a byte tape: a byte below 0xC0 appends a fragment,
+    /// any other byte is appended raw; the lossy UTF-8 decode is what the
+    /// transport hands the daemon for a line that is not valid UTF-8.
+    fn lines_from_tape(tape: &[u8]) -> Vec<String> {
+        let mut bytes = Vec::new();
+        for &b in tape {
+            match FRAGMENTS.get(usize::from(b) % 0xC0 % FRAGMENTS.len()) {
+                Some(fragment) if b < 0xC0 => bytes.extend_from_slice(fragment.as_bytes()),
+                _ => bytes.push(b),
+            }
+        }
+        bytes
+            .split(|&b| b == b'\n')
+            .map(|line| String::from_utf8_lossy(line).into_owned())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Untrusted lines, after no prelude, a `tenant` line, a header, or
+        /// a header and valid rows, never panic the daemon, and a
+        /// following `stats` line still gets its response.
+        #[test]
+        fn handle_line_never_panics_and_stats_still_answers(
+            prelude in 0u8..4,
+            tape in proptest::collection::vec(0u8..=255, 0..400),
+        ) {
+            // No workers: queued diagnoses stay queued, and the small
+            // bounds make random `detect` lines and rows exercise shedding.
+            let cfg = DaemonConfig {
+                ring_rows: 32,
+                detect_every: 4,
+                min_detect_rows: 4,
+                max_pending: 2,
+                max_tenants: 4,
+                ..DaemonConfig::default()
+            };
+            let (daemon, _) = Daemon::new(cfg).unwrap();
+            let (sink, buf) = capture();
+            let mut session = Session::new(sink);
+            let mut prelude_lines: Vec<String> = ["tenant t0", "timestamp,cpu:num,state:cat"]
+                .iter()
+                .take(usize::from(prelude))
+                .map(|l| l.to_string())
+                .collect();
+            if prelude == 3 {
+                // Valid rows, so detection triggers and queued diagnoses shed.
+                let rows = tape.iter().take(24).enumerate();
+                prelude_lines.extend(rows.map(|(i, &b)| format!("{i},{b},s{}", b % 3)));
+            }
+            for line in prelude_lines.iter().chain(&lines_from_tape(&tape)) {
+                if daemon.handle_line(&mut session, line) == LineOutcome::Quit {
+                    break;
+                }
+            }
+            let before = buf.lock().unwrap().len();
+            proptest::prop_assert_eq!(
+                daemon.handle_line(&mut session, "stats"),
+                LineOutcome::Continue
+            );
+            let responses = buf.lock().unwrap()[before..].to_vec();
+            proptest::prop_assert!(
+                responses.iter().any(|r| r.starts_with("stats ")),
+                "no stats response: {:?}", responses
+            );
+        }
     }
 }

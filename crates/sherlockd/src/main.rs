@@ -167,6 +167,10 @@ fn run(scan: &ArgScan<'_>) -> Result<bool, String> {
         // The accept loop owns this thread; it polls SHUTDOWN via the
         // shared flag mirrored below.
         let mirror = Arc::clone(&shutdown);
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the signal watcher only mirrors SHUTDOWN into the accept loop's flag"
+        )]
         let watcher = std::thread::Builder::new()
             .name("sherlockd-signals".to_string())
             .spawn(move || {

@@ -92,7 +92,7 @@ impl<R: Read> LineReader<R> {
         match self.source.read(&mut chunk) {
             Ok(0) => ReadEvent::Eof,
             Ok(n) => {
-                // sherlock-lint: allow(panic-path): read() returns n <= chunk.len()
+                #[allow(clippy::indexing_slicing, reason = "read() returns n <= chunk.len()")]
                 self.ingest(&chunk[..n]);
                 match self.pending.pop_front() {
                     Some(event) => event,
@@ -253,12 +253,15 @@ pub fn serve(
                 let daemon = Arc::clone(daemon);
                 let cfg = cfg.clone();
                 let shutdown = Arc::clone(shutdown);
-                let spawned = std::thread::Builder::new()
-                    .name("sherlockd-conn".to_string())
-                    // sherlock-lint: allow(raw-spawn): one bounded-lifetime thread per accepted connection; it exits within one read timeout of shutdown and panics cannot cross the protocol boundary (handle_line isolates diagnosis panics)
-                    .spawn(move || {
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "one thread per connection; it exits within a read timeout of shutdown"
+                )]
+                let spawned = std::thread::Builder::new().name("sherlockd-conn".to_string()).spawn(
+                    move || {
                         serve_connection(&daemon, stream, &cfg, &shutdown);
-                    });
+                    },
+                );
                 if let Ok(handle) = spawned {
                     handles.push(handle);
                 }

@@ -46,6 +46,10 @@ fn start(cfg: DaemonConfig) -> Harness {
     let net_cfg = NetConfig { max_line_bytes: 4096, read_timeout_ms: 25, idle_timeout_ms: 10_000 };
     let accept_daemon = Arc::clone(&daemon);
     let accept_shutdown = Arc::clone(&shutdown);
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the test runs the accept loop on its own thread, as sherlockd does"
+    )]
     let accept_thread =
         std::thread::spawn(move || net::serve(&accept_daemon, listener, net_cfg, &accept_shutdown));
     Harness { daemon, addr, shutdown, accept_thread, workers }
@@ -176,6 +180,10 @@ fn chaos_schedules_never_crash_the_daemon() {
         let events = apply_schedule(&lines, faults);
         let addr = harness.addr;
         let tenant = tenant.to_string();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "one client thread per tenant drives the daemon concurrently"
+        )]
         clients.push(std::thread::spawn(move || {
             let (mut stream, _reader) = connect(addr);
             for event in events {

@@ -706,7 +706,7 @@ pub fn standard_cluster_scenario(
     corpus_seed: u64,
 ) -> ClusterScenario {
     let slot = variant % CLUSTER_VARIATIONS.len();
-    // sherlock-lint: allow(panic-path): slot < len by the modulo above
+    #[allow(clippy::indexing_slicing, reason = "slot < len by the modulo above")]
     let vary = CLUSTER_VARIATIONS[slot];
     let (start, duration) = if kind.duration_controllable() { (60, vary) } else { (vary, 40) };
     let kind_idx = ClusterAnomalyKind::ALL.iter().position(|&k| k == kind).unwrap_or(0);

@@ -83,6 +83,10 @@ pub fn standard_scenario(
     variant: usize,
     corpus_seed: u64,
 ) -> Scenario {
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "variant is a position in VARIATIONS (documented range 0..11)"
+    )]
     let v = VARIATIONS[variant];
     // Duration-controllable anomalies vary duration at a fixed start;
     // uncontrollable jobs vary the start time at a fixed duration (§8.2).

@@ -414,6 +414,10 @@ impl Engine {
             &mut m.txn_rate_class4,
         ];
         for (i, slot) in class_rates.into_iter().enumerate() {
+            #[allow(
+                clippy::indexing_slicing,
+                reason = "both benchmark mixes define the five classes class_rates lists"
+            )]
             let base_class = &self.base_mix.classes[i];
             let weight = mix
                 .classes

@@ -245,14 +245,15 @@ impl CategoricalMetrics {
 
 /// Build the full telemetry schema: all numeric metrics, then all
 /// categorical ones.
+#[allow(
+    clippy::expect_used,
+    reason = "the static name lists are duplicate-free (asserted by the tests below)"
+)]
 pub fn metrics_schema() -> Schema {
     let mut attrs: Vec<AttributeMeta> =
         NumericMetrics::NAMES.iter().map(|n| AttributeMeta::numeric(*n)).collect();
     attrs.extend(CATEGORICAL_NAMES.iter().map(|n| AttributeMeta::categorical(*n)));
-    // The static name lists are duplicate-free (asserted by the tests
-    // below), so construction cannot fail.
-    #[allow(clippy::expect_used)]
-    Schema::from_attrs(attrs).expect("metric names are unique") // sherlock-lint: allow(panic-path): static invariant
+    Schema::from_attrs(attrs).expect("metric names are unique")
 }
 
 #[cfg(test)]

@@ -85,12 +85,16 @@ impl Scenario {
             // dataset was created with, so intern/push cannot fail.
             for (offset, label) in out.categorical.labels().iter().enumerate() {
                 let attr_id = numeric_count + offset;
-                #[allow(clippy::expect_used)]
-                // sherlock-lint: allow(panic-path): static invariant
+                #[allow(
+                    clippy::expect_used,
+                    reason = "rows follow the metrics_schema() the dataset was built from"
+                )]
                 values.push(dataset.intern(attr_id, label).expect("categorical attr"));
             }
-            #[allow(clippy::expect_used)]
-            // sherlock-lint: allow(panic-path): static invariant
+            #[allow(
+                clippy::expect_used,
+                reason = "rows follow the metrics_schema() the dataset was built from"
+            )]
             dataset.push_row(tick as f64, &values).expect("schema-consistent row");
         }
         LabeledDataset { data: dataset, injections: self.injections.clone() }

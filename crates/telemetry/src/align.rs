@@ -124,6 +124,10 @@ pub fn align(
     let mut last_numeric: Vec<f64> = vec![options.numeric_fill; numeric.len()];
     let mut last_categorical: Vec<String> =
         vec![options.categorical_fill.clone(); categorical.len()];
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "bucket vectors have n_buckets entries, last_* one slot per stream"
+    )]
     for bucket in 0..n_buckets {
         let mut values: Vec<Value> = Vec::with_capacity(dataset.schema().len());
         for (i, buckets) in numeric_buckets.iter().enumerate() {
@@ -217,6 +221,7 @@ pub fn repair_alignment(
 
     // 2. Stable sort by timestamp; report rows that were out of order.
     for pair in keyed.windows(2) {
+        #[allow(clippy::indexing_slicing, reason = "windows(2) yields two-element windows")]
         if pair[1].1 < pair[0].1 {
             warnings.push(IngestWarning::NonMonotonicTimestamp {
                 line: pair[1].0 + 2,
@@ -284,6 +289,10 @@ fn bucketize_numeric(
     for &(t, v) in &stream.samples {
         let b = bucket_of(t, first_bucket, interval);
         if b < n_buckets {
+            #[allow(
+                clippy::indexing_slicing,
+                reason = "b < n_buckets == acc.len() is checked above"
+            )]
             acc[b].push(v);
         }
     }
@@ -315,6 +324,10 @@ fn bucketize_categorical(
     let mut out: Vec<Option<String>> = vec![None; n_buckets];
     for (t, label) in &stream.samples {
         let b = bucket_of(*t, first_bucket, interval);
+        #[allow(
+            clippy::indexing_slicing,
+            reason = "b < n_buckets == out.len() is checked by this if"
+        )]
         if b < n_buckets {
             out[b] = Some(label.clone());
         }

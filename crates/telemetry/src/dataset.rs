@@ -173,6 +173,10 @@ impl Dataset {
     }
 
     /// Categorical column as `(ids, dictionary)`.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "attr_id comes from this dataset's schema, which has one column per attribute"
+    )]
     pub fn categorical(&self, attr_id: usize) -> Result<(&[u32], &Dictionary)> {
         match &self.columns[attr_id] {
             Column::Categorical { ids, dict } => Ok((ids, dict)),
@@ -184,6 +188,10 @@ impl Dataset {
     }
 
     /// Mutable access to a numeric column (used by noise injection).
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "attr_id comes from this dataset's schema, which has one column per attribute"
+    )]
     pub fn numeric_mut(&mut self, attr_id: usize) -> Result<&mut [f64]> {
         match &mut self.columns[attr_id] {
             Column::Numeric(v) => Ok(v),

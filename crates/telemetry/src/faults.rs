@@ -411,6 +411,7 @@ fn duplicate_rows(
     table.rows = out;
 }
 
+#[allow(clippy::indexing_slicing, reason = "cells.first() returned Some above, so cells[0] exists")]
 fn shift_timestamp(row: &str, offset: f64) -> Option<String> {
     let mut cells = split_cells(row);
     let ts: f64 = cells.first()?.trim().parse().ok()?;
@@ -473,6 +474,7 @@ fn clock_jitter(
     );
 }
 
+#[allow(clippy::indexing_slicing, reason = "start is drawn so that start + run_len <= rows.len()")]
 fn stuck_sensor(
     table: &mut CsvTable,
     intensity: f64,
@@ -528,6 +530,7 @@ fn cell_fault(
         let mut changed = false;
         // Skip the timestamp cell: timestamp damage is the clock faults' job.
         for col in 1..cells.len().min(n_cols) {
+            #[allow(clippy::indexing_slicing, reason = "col < cells.len() by the loop range")]
             if rng.unit() < spec.intensity {
                 cells[col] = replacement.to_string();
                 changed = true;
@@ -607,6 +610,7 @@ fn drop_column(table: &mut CsvTable, rng: &mut SplitMix, report: &mut Corruption
         return;
     }
     let col = 1 + rng.below(headers.len() - 1);
+    #[allow(clippy::indexing_slicing, reason = "col is drawn from 1..headers.len()")]
     let name = headers[col].clone();
     let mut new_headers = headers;
     new_headers.remove(col);
@@ -621,6 +625,7 @@ fn drop_column(table: &mut CsvTable, rng: &mut SplitMix, report: &mut Corruption
     report.push(FaultKind::DropColumn, None, Some(name), "column disappeared");
 }
 
+#[allow(clippy::indexing_slicing, reason = "col is drawn from 1..headers.len()")]
 fn rename_column(table: &mut CsvTable, rng: &mut SplitMix, report: &mut CorruptionReport) {
     let mut headers = table.header_fields();
     if headers.len() < 2 {

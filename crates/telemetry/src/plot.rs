@@ -33,6 +33,10 @@ impl Default for PlotOptions {
 /// Each output column aggregates `ceil(n / width)` consecutive samples by
 /// their mean; a column is highlighted when any of its samples is in the
 /// region. The y-axis is annotated with the data range.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "chunks stay inside 0..n, and row < height, col < columns.len() size the grid"
+)]
 pub fn render(
     dataset: &Dataset,
     attr: &str,

@@ -77,6 +77,7 @@ impl Region {
     /// Lossy ingestion and alignment repair can shrink a dataset after a
     /// region was defined over it; clipping keeps index-based regions safe
     /// to evaluate against the degraded data.
+    #[allow(clippy::indexing_slicing, reason = "partition_point returns cut <= indices.len()")]
     pub fn clip(&self, len: usize) -> Region {
         let cut = self.indices.partition_point(|&row| row < len);
         Region { indices: self.indices[..cut].to_vec() }
@@ -88,6 +89,7 @@ impl Region {
     }
 
     /// Intersection of two regions.
+    #[allow(clippy::indexing_slicing, reason = "the loop condition bounds i and j")]
     pub fn intersect(&self, other: &Region) -> Region {
         let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
@@ -179,6 +181,7 @@ impl Region {
     /// a value `<= max_start`). Returns the whole region when it has fewer
     /// than `len` rows. Reproduces the "two seconds of the original
     /// abnormal region" experiment of Appendix C.
+    #[allow(clippy::indexing_slicing, reason = "start <= len() - len, so start + len <= len()")]
     pub fn contiguous_subregion(&self, len: usize, pick: impl FnOnce(usize) -> usize) -> Region {
         if self.len() <= len {
             return self.clone();

@@ -52,6 +52,7 @@ pub fn median_in_place(scratch: &mut [f64]) -> f64 {
         upper
     } else {
         // Largest element of the lower half.
+        #[allow(clippy::indexing_slicing, reason = "mid = n / 2 <= n")]
         let lower = scratch[..mid].iter().copied().fold(f64::NEG_INFINITY, f64::max);
         (lower + upper) / 2.0
     }
@@ -59,6 +60,7 @@ pub fn median_in_place(scratch: &mut [f64]) -> f64 {
 
 /// Empirical quantile `q ∈ [0, 1]` with linear interpolation between order
 /// statistics (the "type 7" estimator); `0.0` for an empty slice.
+#[allow(clippy::indexing_slicing, reason = "q is clamped to [0, 1], so lo <= hi <= len - 1")]
 pub fn quantile(values: &[f64], q: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -80,6 +82,7 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
 /// Empirical quantile over an **already sorted** slice (same estimator as
 /// [`quantile`], without the sort). Callers maintaining incremental sorted
 /// windows (e.g. the PerfAugur baseline) use this on their hot path.
+#[allow(clippy::indexing_slicing, reason = "q is clamped to [0, 1], so lo <= hi <= len - 1")]
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -197,6 +200,10 @@ pub fn histogram(values: &[f64], bins: usize) -> Vec<usize> {
     }
     let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
     let max = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "bin_index clamps into 0..bins.max(1), the length of counts"
+    )]
     for &v in &finite {
         counts[bin_index(v, min, max, bins.max(1))] += 1;
     }
@@ -225,6 +232,7 @@ pub fn entropy_of_counts(counts: &[usize]) -> f64 {
 pub fn joint_histogram(a: &[usize], b: &[usize], bins_a: usize, bins_b: usize) -> Vec<Vec<usize>> {
     debug_assert_eq!(a.len(), b.len());
     let mut joint = vec![vec![0usize; bins_b]; bins_a];
+    #[allow(clippy::indexing_slicing, reason = "both indices are clamped to the last bin")]
     for (&x, &y) in a.iter().zip(b) {
         joint[x.min(bins_a - 1)][y.min(bins_b - 1)] += 1;
     }
@@ -236,6 +244,10 @@ pub fn joint_histogram(a: &[usize], b: &[usize], bins_a: usize, bins_b: usize) -
 pub fn mutual_information(joint: &[Vec<usize>]) -> f64 {
     let marg_a: Vec<usize> = joint.iter().map(|row| row.iter().sum()).collect();
     let bins_b = joint.first().map_or(0, Vec::len);
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "joint is rectangular (joint_histogram); bins_b is its row width"
+    )]
     let marg_b: Vec<usize> = (0..bins_b).map(|j| joint.iter().map(|row| row[j]).sum()).collect();
     let flat: Vec<usize> = joint.iter().flatten().copied().collect();
     entropy_of_counts(&marg_a) + entropy_of_counts(&marg_b) - entropy_of_counts(&flat)
@@ -248,6 +260,10 @@ pub fn mutual_information(joint: &[Vec<usize>]) -> f64 {
 pub fn independence_factor(joint: &[Vec<usize>]) -> f64 {
     let marg_a: Vec<usize> = joint.iter().map(|row| row.iter().sum()).collect();
     let bins_b = joint.first().map_or(0, Vec::len);
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "joint is rectangular (joint_histogram); bins_b is its row width"
+    )]
     let marg_b: Vec<usize> = (0..bins_b).map(|j| joint.iter().map(|row| row[j]).sum()).collect();
     let ha = entropy_of_counts(&marg_a);
     let hb = entropy_of_counts(&marg_b);

@@ -1,14 +1,117 @@
 //! Property-based tests for the telemetry substrate.
 
 use dbsherlock_telemetry::{
-    from_csv, stats, to_csv, AttributeMeta, Dataset, Region, Schema, Value,
+    from_csv, from_csv_lossy, stats, to_csv, AttributeMeta, Dataset, Region, Schema, Value,
 };
 use proptest::prelude::*;
+
+/// CSV-shaped fragments a tape byte picks from: the header keyword, kind
+/// tags, separators, quotes, line breaks, number syntax (non-finite
+/// spellings included), padding and multi-byte characters.
+const FRAGMENTS: &[&str] = &[
+    "timestamp",
+    ",",
+    ",",
+    "\n",
+    "\n",
+    "\r\n",
+    "\"",
+    "\"\"",
+    ":num",
+    ":cat",
+    ":",
+    "x:num",
+    "y:cat",
+    "0",
+    "1",
+    "7",
+    "42",
+    ".",
+    "-",
+    "e",
+    "E+3",
+    "NaN",
+    "inf",
+    "-inf",
+    " ",
+    "\t",
+    "a",
+    "b",
+    "é",
+    "測",
+];
+
+/// Text from a byte tape: a byte below 0xC0 appends a fragment, any other
+/// byte is appended raw, so the tape also yields invalid UTF-8, which the
+/// lossy conversion turns into U+FFFD as a file reader would.
+fn text_from_tape(tape: &[u8]) -> String {
+    let mut bytes = Vec::new();
+    for &b in tape {
+        match FRAGMENTS.get(usize::from(b) % 0xC0 % FRAGMENTS.len()) {
+            Some(fragment) if b < 0xC0 => bytes.extend_from_slice(fragment.as_bytes()),
+            _ => bytes.push(b),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A CSV document from a byte tape: the tape alone, a valid header then
+/// the tape, a valid document built from the tape's bytes (which the
+/// strict parser accepts), or that document with the tape text spliced in
+/// at a tape-chosen line.
+fn csv_from_tape(mode: u8, tape: &[u8]) -> String {
+    const HEADER: &str = "timestamp,x:num,y:cat\n";
+    let valid = || -> String {
+        let labels = ["a", "b", "\"q,uoted\"", "é"];
+        let rows: String = tape
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                format!("{i},{},{}\n", f64::from(b) / 4.0 - 20.0, labels[usize::from(b) % 4])
+            })
+            .collect();
+        format!("{HEADER}{rows}")
+    };
+    match mode % 4 {
+        0 => text_from_tape(tape),
+        1 => format!("{HEADER}{}", text_from_tape(tape)),
+        2 => valid(),
+        _ => {
+            let doc = valid();
+            let cut = tape.first().map_or(0, |&b| usize::from(b) % (doc.lines().count() + 1));
+            let mut lines: Vec<String> = doc.lines().map(str::to_string).collect();
+            lines.insert(cut.min(lines.len()), text_from_tape(tape.get(1..).unwrap_or_default()));
+            lines.join("\n")
+        }
+    }
+}
 
 fn finite_f64() -> impl Strategy<Value = f64> {
     // Avoid exotic values whose Display/parse round-trip is lossy by
     // construction (NaN/∞); everything finite must survive CSV.
     prop::num::f64::NORMAL | prop::num::f64::ZERO | prop::num::f64::NEGATIVE
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Lossy ingestion never panics on untrusted text, and it extends the
+    /// strict parser: whatever `from_csv` accepts, `from_csv_lossy`
+    /// accepts as the same dataset.
+    #[test]
+    fn lossy_csv_never_panics_and_extends_strict(
+        mode in 0u8..4,
+        tape in proptest::collection::vec(0u8..=255, 0..160),
+    ) {
+        let text = csv_from_tape(mode, &tape);
+        let lossy = from_csv_lossy(&text);
+        if let Ok(strict) = from_csv(&text) {
+            let (repaired, _warnings) = lossy.map_err(|e| {
+                TestCaseError::Fail(format!("strict accepted, lossy rejected: {e}: {text:?}"))
+            })?;
+            prop_assert_eq!(to_csv(&repaired), to_csv(&strict), "{:?}", text);
+        }
+    }
 }
 
 proptest! {

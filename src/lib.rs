@@ -1,7 +1,19 @@
 #![warn(missing_docs)]
-// Diagnosis must degrade gracefully, never panic: unwrap/expect are banned in
-// library code (tests may use them freely). See sherlock-lint's panic-path rule.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Diagnosis must degrade gracefully, never panic: clippy's panic lints are
+// denied in library code (tests may panic freely).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 //! # dbsherlock
 //!
