@@ -24,7 +24,7 @@ fn run(flags: AblationFlags) -> Tally {
                     .expect("corpus cell");
                 let abnormal = entry.labeled.abnormal_region();
                 let normal = entry.labeled.normal_region();
-                let preds = try_generate_predicates(
+                let (preds, _) = try_generate_predicates(
                     &entry.labeled.data.snapshot(),
                     &abnormal,
                     &normal,

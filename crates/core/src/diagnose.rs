@@ -197,7 +197,7 @@ impl Sherlock {
         // One columnar snapshot pins every attribute-contiguous slice for
         // the whole pass; kernels below never pay per-cell dispatch.
         let snapshot = dataset.snapshot();
-        let raw = try_generate_predicates(
+        let (raw, spaces) = try_generate_predicates(
             &snapshot,
             abnormal,
             normal,
@@ -206,7 +206,8 @@ impl Sherlock {
             budget,
         )?;
         let predicates = self.domain.prune(dataset, raw, params);
-        let all_causes = self.repository.try_rank(dataset, abnormal, normal, params, budget)?;
+        // Eq. 3 scores the models on the spaces Algorithm 1 just labelled.
+        let all_causes = self.repository.rank_on(dataset, &spaces, params, budget)?;
         let causes = all_causes.iter().filter(|c| c.confidence >= params.lambda).cloned().collect();
         Ok(Explanation { predicates, causes, all_causes, interventions: Vec::new() })
     }

@@ -13,8 +13,8 @@
 //! suite.
 //!
 //! Raw `std::thread::spawn` / `std::thread::scope` elsewhere in the workspace
-//! is rejected by sherlock-lint's `raw-spawn` rule; route new parallelism
-//! through here.
+//! is banned by the `disallowed-methods` list in the root `clippy.toml`;
+//! route new parallelism through here.
 //!
 //! Two mapping primitives share the same deterministic round-robin schedule:
 //!

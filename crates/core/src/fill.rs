@@ -147,7 +147,7 @@ mod tests {
         for i in 0..10 {
             d.push_row(i as f64, &[Value::Num(i as f64)]).unwrap();
         }
-        let space = PartitionSpace::build(&d, 0, 10).unwrap();
+        let space = PartitionSpace::from_numeric_range(d.numeric_range(0).ok(), 10).unwrap();
         let normal = Region::from_range(0..5);
         (d, space, normal)
     }

@@ -1,12 +1,13 @@
 //! Algorithm 1: predicate generation (paper §4).
 //!
-//! Per attribute: build the partition space, label it from the abnormal and
-//! normal regions, then (numeric only) filter noisy partitions and fill the
-//! gaps; finally extract a candidate predicate when the single-block and
-//! `|µ_A − µ_N| > θ` conditions hold. Categorical attributes skip the
-//! filtering/filling steps and extract straight after labeling.
+//! Per attribute: build the partition space and label it from the abnormal
+//! and normal regions ([`labelled_space`]), then (numeric only) filter noisy
+//! partitions and fill the gaps; finally extract a candidate predicate when
+//! the single-block and `|µ_A − µ_N| > θ` conditions hold. Categorical
+//! attributes skip the filtering/filling steps and extract straight after
+//! labeling. The labelled spaces go on to Eq. 3's ranking.
 
-use dbsherlock_telemetry::{AttributeKind, AttributeMeta, ColumnarSnapshot, Dataset, Region};
+use dbsherlock_telemetry::{AttributeKind, ColumnarSnapshot, Dataset, Region};
 
 use crate::budget::ArmedBudget;
 use crate::error::SherlockError;
@@ -14,9 +15,8 @@ use crate::exec::try_par_map_indexed;
 use crate::extract::{extract_categorical_view, extract_numeric, normalized_mean_difference_view};
 use crate::fill::fill_gaps_view;
 use crate::filter::filter_partitions;
-use crate::label::label_partitions_view;
+use crate::label::{labelled_space, LabelledSpace};
 use crate::params::SherlockParams;
-use crate::partition::PartitionSpace;
 use crate::predicate::Predicate;
 use crate::separation::separation_power_view;
 
@@ -65,7 +65,7 @@ pub fn generate_predicates(
         AblationFlags::default(),
         &unlimited,
     ) {
-        Ok(predicates) => predicates,
+        Ok((predicates, _)) => predicates,
         // An unlimited budget never expires or cancels, so the only error
         // is a panic caught at an attribute's slot.
         Err(e) => panic!("{e}"),
@@ -78,12 +78,15 @@ pub fn generate_predicates(
 /// dataset (`Sherlock::explain_*`) build one snapshot per case so every
 /// kernel shares the memoized range cache.
 ///
-/// The regions are clipped to the snapshot's rows first (lossy ingestion
-/// drops rows); if either clips to nothing there is nothing to generate.
-/// The budget is checked before each attribute's run, and a panic while
-/// processing any attribute is caught at that slot. The first failure
-/// aborts the case: a partial conjunction would be a *wrong* answer, not a
-/// degraded one.
+/// Returns the predicates, in schema order, next to every attribute's
+/// [`labelled_space`] indexed by attribute id (`None` where the attribute
+/// cannot be partitioned): the partition spaces Eq. 3 scores causal models
+/// on for this case. The regions are clipped to the snapshot's rows first
+/// (lossy ingestion drops rows); if either clips to nothing there is
+/// nothing to generate and both lists are empty. The budget is checked
+/// before each attribute's run, and a panic while processing any attribute
+/// is caught at that slot. The first failure aborts the case: a partial
+/// conjunction would be a *wrong* answer, not a degraded one.
 pub fn try_generate_predicates(
     snapshot: &ColumnarSnapshot<'_>,
     abnormal: &Region,
@@ -91,60 +94,59 @@ pub fn try_generate_predicates(
     params: &SherlockParams,
     ablation: AblationFlags,
     budget: &ArmedBudget,
-) -> Result<Vec<GeneratedPredicate>, SherlockError> {
+) -> Result<(Vec<GeneratedPredicate>, Vec<Option<LabelledSpace>>), SherlockError> {
     let abnormal = &abnormal.clip(snapshot.n_rows());
     let normal = &normal.clip(snapshot.n_rows());
     if abnormal.is_empty() || normal.is_empty() {
-        return Ok(Vec::new());
+        return Ok((Vec::new(), Vec::new()));
     }
     // Each attribute is an independent run of Algorithm 1, so the schema
     // fans out across the thread budget; collecting by index keeps the
     // output in schema order, identical to the serial loop.
-    let attrs: Vec<(usize, &AttributeMeta)> = snapshot.schema().iter().collect();
-    let per_attr = try_par_map_indexed(params.exec, "generate", &attrs, |_, &(attr_id, attr)| {
+    let attr_ids: Vec<usize> = (0..snapshot.schema().len()).collect();
+    let per_attr = try_par_map_indexed(params.exec, "generate", &attr_ids, |_, &attr_id| {
         budget.check("generate")?;
-        Ok(extract_for_attribute(snapshot, attr_id, attr, abnormal, normal, params, ablation))
+        let labelled = labelled_space(snapshot, attr_id, abnormal, normal, params.n_partitions);
+        let generated = labelled.as_ref().and_then(|labelled| {
+            extract_for_attribute(snapshot, attr_id, labelled, abnormal, normal, params, ablation)
+        });
+        Ok((generated, labelled))
     });
     let mut predicates = Vec::new();
+    let mut spaces = Vec::with_capacity(per_attr.len());
     for slot in per_attr {
-        if let Some(generated) = slot? {
-            predicates.push(generated);
-        }
+        let (generated, labelled) = slot?;
+        predicates.extend(generated);
+        spaces.push(labelled);
     }
-    Ok(predicates)
+    Ok((predicates, spaces))
 }
 
-/// Algorithm 1 for a single attribute: partition, label, (numeric) filter and
+/// Algorithm 1 for a single attribute after labelling: (numeric) filter and
 /// fill, then extract — the unit of work the parallel executor maps over.
-/// All inputs come from the snapshot: one column view, one memoized range,
-/// zero per-cell accesses.
+/// All inputs come from the snapshot and the attribute's labelled space:
+/// one column view, one memoized range, zero per-cell accesses.
 fn extract_for_attribute(
     snapshot: &ColumnarSnapshot<'_>,
     attr_id: usize,
-    attr: &AttributeMeta,
+    labelled: &LabelledSpace,
     abnormal: &Region,
     normal: &Region,
     params: &SherlockParams,
     ablation: AblationFlags,
 ) -> Option<GeneratedPredicate> {
+    let attr = snapshot.schema().get(attr_id)?;
     let view = snapshot.column(attr_id);
-    let space = match attr.kind {
-        AttributeKind::Numeric => PartitionSpace::from_numeric_range(
-            snapshot.numeric_range(attr_id),
-            params.n_partitions,
-        )?,
-        AttributeKind::Categorical => PartitionSpace::from_dictionary(view.categorical()?.1)?,
-    };
-    let labels = label_partitions_view(view, &space, abnormal, normal);
+    let LabelledSpace { space, labels } = labelled;
     match attr.kind {
         AttributeKind::Numeric => {
             let values = view.numeric()?;
             let filtered =
-                if ablation.skip_filtering { labels } else { filter_partitions(&labels) };
+                if ablation.skip_filtering { labels.clone() } else { filter_partitions(labels) };
             let filled = if ablation.skip_filling {
                 filtered
             } else {
-                fill_gaps_view(&filtered, params.delta, values, &space, normal)
+                fill_gaps_view(&filtered, params.delta, values, space, normal)
             };
             let d = normalized_mean_difference_view(
                 values,
@@ -155,7 +157,7 @@ fn extract_for_attribute(
             if d <= params.theta {
                 return None;
             }
-            let predicate = extract_numeric(&attr.name, &space, &filled)?;
+            let predicate = extract_numeric(&attr.name, space, &filled)?;
             let sp = separation_power_view(&predicate, view, abnormal, normal);
             (sp >= params.min_separation_power).then_some(GeneratedPredicate {
                 predicate,
@@ -164,7 +166,7 @@ fn extract_for_attribute(
             })
         }
         AttributeKind::Categorical => {
-            let predicate = extract_categorical_view(&attr.name, view.categorical()?.1, &labels)?;
+            let predicate = extract_categorical_view(&attr.name, view.categorical()?.1, labels)?;
             let sp = separation_power_view(&predicate, view, abnormal, normal);
             (sp >= params.min_separation_power).then_some(GeneratedPredicate {
                 predicate,
@@ -262,8 +264,9 @@ mod tests {
         let params = SherlockParams::default();
         let plain = generate_predicates(&d, &abnormal, &normal, &params);
         let armed = crate::budget::DiagnosisBudget::unlimited().with_deadline_ms(60_000).arm();
-        let budgeted = try_generate_predicates(
-            &d.snapshot(),
+        let snapshot = d.snapshot();
+        let (budgeted, spaces) = try_generate_predicates(
+            &snapshot,
             &abnormal,
             &normal,
             &params,
@@ -272,6 +275,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain, budgeted);
+        // One labelled space per attribute, indexed by id, as the builder
+        // makes it: labels before filtering.
+        assert_eq!(spaces.len(), d.schema().len());
+        for (attr_id, space) in spaces.iter().enumerate() {
+            let built = labelled_space(&snapshot, attr_id, &abnormal, &normal, params.n_partitions);
+            assert_eq!(space, &built, "attribute {attr_id}");
+            assert!(space.is_some(), "attribute {attr_id}");
+        }
     }
 
     #[test]
@@ -295,7 +306,7 @@ mod tests {
         let (d, abnormal, normal) = dataset();
         let params = SherlockParams::default();
         let full = generate_predicates(&d, &abnormal, &normal, &params);
-        let no_fill = try_generate_predicates(
+        let (no_fill, _) = try_generate_predicates(
             &d.snapshot(),
             &abnormal,
             &normal,

@@ -6,21 +6,48 @@
 //! (no tuples, or mixed). Categorical attributes — much less noisy — use a
 //! *majority* rule on the abnormal/normal counts. Tuples outside both
 //! regions are ignored entirely (§4).
+//!
+//! [`labelled_space`] is the one place a case turns an attribute into a
+//! labelled partition space: Algorithm 1 labels every attribute through it
+//! and hands the spaces on, and Eq. 3 scores causal models on them.
 
-use dbsherlock_telemetry::{ColumnView, Dataset, Region};
+use dbsherlock_telemetry::{AttributeKind, ColumnView, ColumnarSnapshot, Region};
 
 use crate::partition::{PartitionLabel, PartitionSpace};
 
-/// Label every partition of `space` (built for `attr_id` over `dataset`)
-/// from the user's `abnormal` and `normal` regions.
-pub fn label_partitions(
-    dataset: &Dataset,
+/// An attribute's partition space and its labels before filtering (§4.1–4.2):
+/// what Algorithm 1 filters, fills and extracts from, and what Eq. 3 scores
+/// a causal model's predicates on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LabelledSpace {
+    /// The attribute's discretized domain.
+    pub space: PartitionSpace,
+    /// One label per partition of `space`.
+    pub labels: Vec<PartitionLabel>,
+}
+
+/// Build the partition space of `attr_id` with `r` partitions and label it
+/// from the `abnormal` and `normal` regions. A numeric space spans the
+/// snapshot's memoized finite range; a categorical one has a partition per
+/// dictionary entry. `None` when the attribute cannot be partitioned: an id
+/// outside the schema, no finite value, a constant column, or an empty
+/// dictionary.
+pub fn labelled_space(
+    snapshot: &ColumnarSnapshot<'_>,
     attr_id: usize,
-    space: &PartitionSpace,
     abnormal: &Region,
     normal: &Region,
-) -> Vec<PartitionLabel> {
-    label_partitions_view(dataset.column(attr_id), space, abnormal, normal)
+    r: usize,
+) -> Option<LabelledSpace> {
+    let view = snapshot.column(attr_id);
+    let space = match snapshot.schema().get(attr_id)?.kind {
+        AttributeKind::Numeric => {
+            PartitionSpace::from_numeric_range(snapshot.numeric_range(attr_id), r)?
+        }
+        AttributeKind::Categorical => PartitionSpace::from_dictionary(view.categorical()?.1)?,
+    };
+    let labels = label_partitions_view(view, &space, abnormal, normal);
+    Some(LabelledSpace { space, labels })
 }
 
 /// Columnar labeling kernel: two count passes over the region indices of
@@ -122,48 +149,49 @@ fn label_categorical(
 mod tests {
     use super::*;
     use crate::fixtures::{categorical_dataset, numeric_dataset};
+    use dbsherlock_telemetry::Dataset;
+
+    /// Labels of attribute 0 through the one builder.
+    fn labels(d: &Dataset, r: usize, abnormal: &Region, normal: &Region) -> Vec<PartitionLabel> {
+        labelled_space(&d.snapshot(), 0, abnormal, normal, r).unwrap().labels
+    }
 
     #[test]
     fn numeric_purity_rule() {
         // Values 0..10; rows 0..5 normal (values 0-4), rows 5..10 abnormal
-        // (values 5-9); 5 partitions of width 2 (domain [0,9]).
+        // (values 5-9); 3 partitions over the domain [0,9]: [0,3),[3,6),[6,9].
         let values: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let d = numeric_dataset(&values);
-        let space = PartitionSpace::build(&d, 0, 3).unwrap(); // [0,3),[3,6),[6,9]
         let abnormal = Region::from_range(5..10);
         let normal = Region::from_range(0..5);
-        let labels = label_partitions(&d, 0, &space, &abnormal, &normal);
         // Partition 0: values 0,1,2 all normal. Partition 1: values 3,4
         // normal but 5 abnormal -> mixed -> Empty. Partition 2: 6..9 all
         // abnormal.
         assert_eq!(
-            labels,
+            labels(&d, 3, &abnormal, &normal),
             vec![PartitionLabel::Normal, PartitionLabel::Empty, PartitionLabel::Abnormal]
         );
     }
 
     #[test]
     fn rows_outside_both_regions_are_ignored() {
-        let values = [0.0, 1.0, 8.0, 9.0];
-        let d = numeric_dataset(&values);
-        let space = PartitionSpace::build(&d, 0, 2).unwrap();
+        let d = numeric_dataset(&[0.0, 1.0, 8.0, 9.0]);
         // Row 1 (value 1.0) in neither region: partition 0 stays pure.
         let abnormal = Region::from_indices([2, 3]);
         let normal = Region::from_indices([0]);
-        let labels = label_partitions(&d, 0, &space, &abnormal, &normal);
-        assert_eq!(labels, vec![PartitionLabel::Normal, PartitionLabel::Abnormal]);
+        assert_eq!(
+            labels(&d, 2, &abnormal, &normal),
+            vec![PartitionLabel::Normal, PartitionLabel::Abnormal]
+        );
     }
 
     #[test]
     fn empty_partition_in_the_middle() {
-        let values = [0.0, 0.5, 9.5, 10.0];
-        let d = numeric_dataset(&values);
-        let space = PartitionSpace::build(&d, 0, 5).unwrap();
+        let d = numeric_dataset(&[0.0, 0.5, 9.5, 10.0]);
         let abnormal = Region::from_indices([2, 3]);
         let normal = Region::from_indices([0, 1]);
-        let labels = label_partitions(&d, 0, &space, &abnormal, &normal);
         assert_eq!(
-            labels,
+            labels(&d, 5, &abnormal, &normal),
             vec![
                 PartitionLabel::Normal,
                 PartitionLabel::Empty,
@@ -182,10 +210,9 @@ mod tests {
         let d = categorical_dataset(&["a", "a", "b", "a", "b", "c"]);
         let abnormal = Region::from_indices([0, 1, 2]);
         let normal = Region::from_indices([3, 4, 5]);
-        let space = PartitionSpace::build(&d, 0, 0).unwrap();
-        let labels = label_partitions(&d, 0, &space, &abnormal, &normal);
+        // `r` does not apply to categorical spaces.
         assert_eq!(
-            labels,
+            labels(&d, 0, &abnormal, &normal),
             vec![PartitionLabel::Abnormal, PartitionLabel::Empty, PartitionLabel::Normal]
         );
     }

@@ -6,7 +6,7 @@
 //! the maximum isn't orphaned). For a categorical attribute there is one
 //! partition per distinct value and order is irrelevant.
 
-use dbsherlock_telemetry::{AttributeKind, Dataset, Dictionary};
+use dbsherlock_telemetry::Dictionary;
 
 /// Label of one partition (paper §4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,28 +40,10 @@ pub enum PartitionSpace {
 }
 
 impl PartitionSpace {
-    /// Build the partition space for `attr_id` of `dataset`.
-    ///
-    /// Returns `None` when the attribute cannot be partitioned: an empty
-    /// dataset, a numeric attribute with no finite values, or a degenerate
-    /// (constant) numeric attribute — the latter mirrors the paper's
-    /// limitation (ii): invariants cannot separate the regions.
-    pub fn build(dataset: &Dataset, attr_id: usize, r: usize) -> Option<PartitionSpace> {
-        match dataset.schema().attr(attr_id).kind {
-            AttributeKind::Numeric => {
-                Self::from_numeric_range(dataset.numeric_range(attr_id).ok(), r)
-            }
-            AttributeKind::Categorical => {
-                let (_, dict) = dataset.categorical(attr_id).ok()?;
-                Self::from_dictionary(dict)
-            }
-        }
-    }
-
     /// Numeric space from a precomputed `(min, max)` range — e.g. the
-    /// memoized `ColumnarSnapshot` cache — with the same degeneracy policy
-    /// as [`build`](Self::build): `None` for a missing range, a constant
-    /// attribute, or a non-finite width.
+    /// memoized `ColumnarSnapshot` cache: `None` for a missing range, a
+    /// constant attribute (the paper's limitation (ii): invariants cannot
+    /// separate the regions), or a non-finite width.
     pub fn from_numeric_range(range: Option<(f64, f64)>, r: usize) -> Option<PartitionSpace> {
         let (min, max) = range?;
         if max <= min || !(max - min).is_finite() {
@@ -170,11 +152,18 @@ impl NumericBinner {
 mod tests {
     use super::*;
     use crate::fixtures::numeric_dataset as dataset;
+    use dbsherlock_telemetry::{Dataset, Region};
+
+    /// Attribute 0's space as a case builds it.
+    fn space(d: &Dataset, r: usize) -> Option<PartitionSpace> {
+        let none = Region::new();
+        crate::label::labelled_space(&d.snapshot(), 0, &none, &none, r).map(|l| l.space)
+    }
 
     #[test]
     fn numeric_space_covers_domain() {
         let d = dataset(&[0.0, 25.0, 100.0]);
-        let s = PartitionSpace::build(&d, 0, 5).unwrap();
+        let s = space(&d, 5).unwrap();
         assert_eq!(s.len(), 5);
         assert_eq!(s.width(), Some(20.0));
         assert_eq!(s.index_of_num(0.0), Some(0));
@@ -190,7 +179,7 @@ mod tests {
     #[test]
     fn out_of_range_values_clamp() {
         let d = dataset(&[0.0, 100.0]);
-        let s = PartitionSpace::build(&d, 0, 4).unwrap();
+        let s = space(&d, 4).unwrap();
         assert_eq!(s.index_of_num(-5.0), Some(0));
         assert_eq!(s.index_of_num(500.0), Some(3));
         assert_eq!(s.index_of_num(f64::NAN), None);
@@ -199,19 +188,23 @@ mod tests {
     #[test]
     fn constant_attribute_has_no_space() {
         let d = dataset(&[7.0, 7.0, 7.0]);
-        assert!(PartitionSpace::build(&d, 0, 10).is_none());
+        assert!(space(&d, 10).is_none());
     }
 
     #[test]
     fn empty_dataset_has_no_space() {
         let d = dataset(&[]);
-        assert!(PartitionSpace::build(&d, 0, 10).is_none());
+        assert!(space(&d, 10).is_none());
+        // Nor has an attribute outside the schema.
+        let d = dataset(&[0.0, 1.0]);
+        let none = Region::new();
+        assert!(crate::label::labelled_space(&d.snapshot(), 5, &none, &none, 10).is_none());
     }
 
     #[test]
     fn categorical_space_one_per_value() {
         let d = crate::fixtures::categorical_dataset(&["a", "b"]);
-        let s = PartitionSpace::build(&d, 0, 99).unwrap();
+        let s = space(&d, 99).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.width(), None);
         assert_eq!(s.index_of_num(1.0), None);

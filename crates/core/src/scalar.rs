@@ -34,6 +34,21 @@ fn value(dataset: &Dataset, row: usize, attr_id: usize) -> Option<Value> {
     }
 }
 
+/// The partition space of `attr_id` built from the dataset itself: the
+/// range through [`Dataset::numeric_range`], the dictionary through
+/// [`Dataset::categorical`]. `None` when the attribute cannot be
+/// partitioned.
+fn partition_space(dataset: &Dataset, attr_id: usize, r: usize) -> Option<PartitionSpace> {
+    match dataset.schema().get(attr_id)?.kind {
+        AttributeKind::Numeric => {
+            PartitionSpace::from_numeric_range(dataset.numeric_range(attr_id).ok(), r)
+        }
+        AttributeKind::Categorical => {
+            PartitionSpace::from_dictionary(dataset.categorical(attr_id).ok()?.1)
+        }
+    }
+}
+
 /// Does `predicate` hold at `row`? One [`value`] dispatch (and, for
 /// categorical attributes, one dictionary lookup) per call. Unknown
 /// attributes, kind mismatches and out-of-range rows evaluate to `false`.
@@ -241,7 +256,7 @@ pub fn generate_predicates(
         .schema()
         .iter()
         .filter_map(|(attr_id, attr)| {
-            let space = PartitionSpace::build(dataset, attr_id, params.n_partitions)?;
+            let space = partition_space(dataset, attr_id, params.n_partitions)?;
             let labels = label_partitions(dataset, attr_id, &space, abnormal, normal);
             match attr.kind {
                 AttributeKind::Numeric => {
@@ -276,7 +291,8 @@ pub fn generate_predicates(
 }
 
 /// Row-wise Eq. 3: each predicate rebuilds and relabels its attribute's
-/// partition space from scratch (no per-ranking cache).
+/// partition space from scratch (no sharing with generation or between
+/// predicates).
 pub fn confidence(
     model: &CausalModel,
     dataset: &Dataset,
@@ -298,7 +314,7 @@ pub fn confidence(
             let Some(attr_id) = dataset.schema().id_of(&pred.attr) else {
                 return 0.0;
             };
-            let Some(space) = PartitionSpace::build(dataset, attr_id, params.n_partitions) else {
+            let Some(space) = partition_space(dataset, attr_id, params.n_partitions) else {
                 return 0.0;
             };
             let labels = label_partitions(dataset, attr_id, &space, abnormal, normal);
@@ -393,22 +409,40 @@ mod tests {
 
     #[test]
     fn scalar_rank_matches_columnar() {
-        let (d, abnormal, normal) = dataset();
+        let (d, abnormal, complement) = dataset();
         let params = SherlockParams::default();
+        let model = |cause: &str, predicates: Vec<Predicate>| CausalModel {
+            cause: cause.into(),
+            predicates,
+            merged_from: 1,
+        };
         let mut repo = ModelRepository::new();
-        repo.add(CausalModel {
-            cause: "hot".into(),
-            predicates: vec![Predicate::gt("signal", 50.0)],
-            merged_from: 1,
-        });
-        repo.add(CausalModel {
-            cause: "cold".into(),
-            predicates: vec![Predicate::lt("signal", 50.0)],
-            merged_from: 1,
-        });
-        let scalar = rank(&repo, &d, &abnormal, &normal, &params);
-        let columnar = repo.rank(&d, &abnormal, &normal, &params);
-        assert_eq!(scalar, columnar);
+        for m in [
+            model("hot", vec![Predicate::gt("signal", 50.0)]),
+            model("cold", vec![Predicate::lt("signal", 50.0)]),
+            model("bad state", vec![Predicate::in_set("state", ["bad".to_string()])]),
+            model("missing", vec![Predicate::gt("missing", 0.0), Predicate::gt("signal", 50.0)]),
+            model("twice", vec![Predicate::gt("signal", 50.0), Predicate::lt("signal", 91.0)]),
+            model("empty", vec![]),
+        ] {
+            repo.add(m);
+        }
+        // An explicit normal region that overlaps the abnormal one: its
+        // mixed partitions label Empty, so the scores move.
+        let explicit = Region::from_range(15..25);
+        let bits = |ranked: Vec<RankedCause>| -> Vec<(String, u64)> {
+            ranked.into_iter().map(|c| (c.cause, c.confidence.to_bits())).collect()
+        };
+        for normal in [&complement, &explicit] {
+            let scalar = rank(&repo, &d, &abnormal, normal, &params);
+            let columnar = repo.rank(&d, &abnormal, normal, &params);
+            assert_eq!(bits(scalar), bits(columnar));
+            for m in repo.models() {
+                let scalar = confidence(m, &d, &abnormal, normal, &params);
+                let columnar = m.confidence(&d, &abnormal, normal, &params);
+                assert_eq!(scalar.to_bits(), columnar.to_bits(), "{}", m.cause);
+            }
+        }
     }
 
     #[test]

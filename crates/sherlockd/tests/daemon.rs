@@ -2,16 +2,26 @@
 //! automatic explanation; chaos-scheduled streams (torn lines, floods,
 //! garbage, skewed clocks, mid-stream disconnects) never crash the daemon;
 //! and drain-under-load leaves a checksum-verified model store behind.
+//! In process, one simulator stream played into two fresh daemons gets the
+//! same answers from both.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use dbsherlock_core::{
+    generate_predicates, CausalModel, DomainKnowledge, ExecPolicy, ModelRepository, ModelStore,
+    SherlockParams,
+};
 use dbsherlock_sherlockd::chaos::{apply_schedule, IngestFault, StreamEvent};
-use dbsherlock_sherlockd::daemon::{Daemon, DaemonConfig};
+use dbsherlock_sherlockd::daemon::{Daemon, DaemonConfig, DrainReport, Session};
 use dbsherlock_sherlockd::net::{self, NetConfig};
+use dbsherlock_sherlockd::protocol::Response;
+use dbsherlock_simulator::{
+    standard_scenario, AnomalyKind, Benchmark, Injection, Scenario, WorkloadConfig,
+};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -263,4 +273,149 @@ fn drain_under_load_is_bounded_and_store_verifies() {
     assert!(report.store_verified(), "{:?}", report.verify_warnings);
     assert!(dir.join("models.sherlock").exists());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rows per block of [`play_in_blocks`]; also the daemon's detection
+/// cadence, so once the window is full every block ends in a trigger.
+const BLOCK: usize = 64;
+/// Blocks that fill the 192-row window; the last of them is the first
+/// trigger.
+const FILL: usize = 3;
+
+/// Diagnoses the daemon has resolved: run to an answer, shed or failed.
+/// With one worker taking jobs in order, once this covers a trigger, that
+/// trigger's diagnosis has taken its window.
+fn resolved(daemon: &Daemon) -> u64 {
+    let s = &daemon.stats;
+    [&s.explanations, &s.quiet, &s.errors, &s.quarantined, &s.shed]
+        .iter()
+        .map(|c| c.load(Ordering::SeqCst))
+        .sum()
+}
+
+/// Play `header` and `rows` as tenant `t0` into a fresh one-worker daemon
+/// loading `models`, a block at a time. Each block goes out only once the
+/// daemon has resolved every trigger before it, so each diagnosis sees
+/// exactly its trigger's window. Returns every response and the drain.
+fn play_in_blocks(
+    header: &str,
+    rows: &[&str],
+    models: &ModelRepository,
+    params: &SherlockParams,
+) -> (Vec<Response>, DrainReport) {
+    let dir = scratch_dir();
+    let store = dir.join("models.sherlock");
+    ModelStore::new(&store).save(models).unwrap();
+    let cfg = DaemonConfig {
+        ring_rows: FILL * BLOCK,
+        detect_every: BLOCK,
+        min_detect_rows: FILL * BLOCK,
+        workers: 1,
+        drain_deadline_ms: 10_000,
+        params: params.clone(),
+        store_path: Some(store),
+        ..DaemonConfig::default()
+    };
+    let (daemon, warnings) = Daemon::new(cfg).unwrap();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    let daemon = Arc::new(daemon);
+    let workers = daemon.spawn_workers();
+    let responses = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&responses);
+    let mut session = Session::new(Arc::new(move |response: &Response| {
+        log.lock().unwrap().push(response.clone())
+    }));
+    daemon.handle_line(&mut session, "tenant t0");
+    daemon.handle_line(&mut session, header);
+    let blocks = rows.chunks(BLOCK).count();
+    for (b, block) in rows.chunks(BLOCK).enumerate() {
+        let triggers = (b + 1).saturating_sub(FILL) as u64;
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while resolved(&daemon) < triggers {
+            assert!(Instant::now() < deadline, "trigger {triggers} unresolved");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for line in block {
+            daemon.handle_line(&mut session, line);
+        }
+    }
+    let report = daemon.drain(workers);
+    // No trigger coalesced into another.
+    assert_eq!(resolved(&daemon), (blocks + 1 - FILL) as u64);
+    std::fs::remove_dir_all(&dir).ok();
+    let responses = responses.lock().unwrap().clone();
+    (responses, report)
+}
+
+/// The timing-free half of perfbench `stream`'s check, in one tenant: a
+/// simulator stream with four planted anomalies, each wholly inside its
+/// own 64-row block, played into two fresh daemons, gets the same
+/// responses from both, none a warning, and each drain is clean with a
+/// verified store. Diagnosis state that outlived one diagnosis or one
+/// daemon would show as a difference here.
+#[test]
+fn two_fresh_daemons_answer_one_stream_alike() {
+    const SEED: u64 = 101;
+    let kinds = [
+        AnomalyKind::IoSaturation,
+        AnomalyKind::CpuSaturation,
+        AnomalyKind::LockContention,
+        AnomalyKind::WorkloadSpike,
+    ];
+    let params = SherlockParams::default().with_exec(ExecPolicy::Serial);
+    // One model per planted class, learned from its standard scenario with
+    // domain-knowledge pruning, so each explanation can name a cause.
+    let domain = DomainKnowledge::mysql_linux();
+    let mut models = ModelRepository::new();
+    for kind in kinds {
+        let labeled = standard_scenario(Benchmark::TpccLike, kind, 0, SEED).run();
+        let (abnormal, normal) = (labeled.abnormal_region(), labeled.normal_region());
+        let raw = generate_predicates(&labeled.data, &abnormal, &normal, &params);
+        let predicates = domain.prune(&labeled.data, raw, &params);
+        models.add(CausalModel::from_feedback(kind.name(), &predicates));
+    }
+    // After the fill, anomaly `i` covers 30 rows from 16 rows into block
+    // FILL + 4i: a window never holds two.
+    let planted: Vec<(AnomalyKind, std::ops::Range<usize>)> = kinds
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| {
+            let start = (FILL + 4 * i) * BLOCK + 16;
+            (kind, start..start + 30)
+        })
+        .collect();
+    let blocks = FILL + 4 * (kinds.len() - 1) + 1;
+    let mut scenario = Scenario::new(WorkloadConfig::tpcc_default(), blocks * BLOCK, SEED);
+    for (kind, rows) in &planted {
+        scenario = scenario.with_injection(Injection::new(*kind, rows.start, rows.len()));
+    }
+    let csv = dbsherlock_telemetry::to_csv(&scenario.run().data);
+    let mut lines = csv.lines();
+    let header = lines.next().unwrap();
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), blocks * BLOCK);
+
+    let (first, first_drain) = play_in_blocks(header, &rows, &models, &params);
+    let (second, second_drain) = play_in_blocks(header, &rows, &models, &params);
+    assert_eq!(first, second);
+    assert!(!first.iter().any(|r| matches!(r, Response::Warn { .. })), "{first:?}");
+    for drain in [first_drain, second_drain] {
+        assert!(drain.clean);
+        assert!(drain.store_verified(), "{:?}", drain.verify_warnings);
+    }
+    // Every explanation names a cause, and each planted anomaly is
+    // explained with its own class first.
+    for response in &first {
+        if let Response::Explanation { top_cause, .. } = response {
+            assert!(top_cause.is_some(), "{}", response.render());
+        }
+    }
+    for (kind, rows) in &planted {
+        let (start, end) = (rows.start as u64, rows.end as u64);
+        let named = first.iter().any(|r| {
+            matches!(r, Response::Explanation { seq_range: (lo, hi), top_cause: Some(top), .. }
+                if *lo < end && *hi >= start && top.cause == kind.name())
+        });
+        assert!(named, "{kind:?} at {rows:?}: {first:?}");
+    }
 }

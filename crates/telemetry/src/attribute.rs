@@ -124,7 +124,7 @@ impl Schema {
     /// Attribute metadata by positional id.
     #[allow(
         clippy::indexing_slicing,
-        reason = "callers pass ids from this schema; try_attr is the panic-free form"
+        reason = "callers pass ids from this schema; `get` is the panic-free form"
     )]
     pub fn attr(&self, id: usize) -> &AttributeMeta {
         &self.attrs[id]

@@ -8,6 +8,16 @@ use crate::region::Region;
 use crate::value::{Dictionary, Value};
 use crate::view::{ColumnView, ColumnarSnapshot, NumericView};
 
+/// The error of an accessor asked for a column of kind `expected`:
+/// [`TelemetryError::UnknownAttribute`] for an id outside `schema`,
+/// [`TelemetryError::KindMismatch`] otherwise.
+fn not_of_kind(schema: &Schema, attr_id: usize, expected: &'static str) -> TelemetryError {
+    match schema.get(attr_id) {
+        Some(meta) => TelemetryError::KindMismatch { attribute: meta.name.clone(), expected },
+        None => TelemetryError::UnknownAttribute(format!("<attr {attr_id}>")),
+    }
+}
+
 /// One column of observations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Column {
@@ -129,14 +139,7 @@ impl Dataset {
     pub fn intern(&mut self, attr_id: usize, label: &str) -> Result<Value> {
         match self.columns.get_mut(attr_id) {
             Some(Column::Categorical { dict, .. }) => Ok(Value::Cat(dict.intern(label))),
-            _ => Err(TelemetryError::KindMismatch {
-                attribute: self
-                    .schema
-                    .get(attr_id)
-                    .map(|meta| meta.name.clone())
-                    .unwrap_or_else(|| format!("<attr {attr_id}>")),
-                expected: "categorical",
-            }),
+            _ => Err(not_of_kind(&self.schema, attr_id, "categorical")),
         }
     }
 
@@ -173,42 +176,25 @@ impl Dataset {
     }
 
     /// Categorical column as `(ids, dictionary)`.
-    #[allow(
-        clippy::indexing_slicing,
-        reason = "attr_id comes from this dataset's schema, which has one column per attribute"
-    )]
     pub fn categorical(&self, attr_id: usize) -> Result<(&[u32], &Dictionary)> {
-        match &self.columns[attr_id] {
-            Column::Categorical { ids, dict } => Ok((ids, dict)),
-            Column::Numeric(_) => Err(TelemetryError::KindMismatch {
-                attribute: self.schema.attr(attr_id).name.clone(),
-                expected: "categorical",
-            }),
+        match self.columns.get(attr_id) {
+            Some(Column::Categorical { ids, dict }) => Ok((ids, dict)),
+            _ => Err(not_of_kind(&self.schema, attr_id, "categorical")),
         }
     }
 
     /// Mutable access to a numeric column (used by noise injection).
-    #[allow(
-        clippy::indexing_slicing,
-        reason = "attr_id comes from this dataset's schema, which has one column per attribute"
-    )]
     pub fn numeric_mut(&mut self, attr_id: usize) -> Result<&mut [f64]> {
-        match &mut self.columns[attr_id] {
-            Column::Numeric(v) => Ok(v),
-            Column::Categorical { .. } => Err(TelemetryError::KindMismatch {
-                attribute: self.schema.attr(attr_id).name.clone(),
-                expected: "numeric",
-            }),
+        match self.columns.get_mut(attr_id) {
+            Some(Column::Numeric(v)) => Ok(v),
+            _ => Err(not_of_kind(&self.schema, attr_id, "numeric")),
         }
     }
 
     /// Convenience: numeric column by name.
     pub fn numeric_by_name(&self, name: &str) -> Result<&[f64]> {
         let attr_id = self.schema.require(name)?;
-        self.numeric(attr_id).ok_or_else(|| TelemetryError::KindMismatch {
-            attribute: self.schema.attr(attr_id).name.clone(),
-            expected: "numeric",
-        })
+        self.numeric(attr_id).ok_or_else(|| not_of_kind(&self.schema, attr_id, "numeric"))
     }
 
     /// `(min, max)` of a numeric attribute over **all** rows, ignoring NaNs.
@@ -218,10 +204,8 @@ impl Dataset {
     /// §4.1) spans exactly this range. The fold is
     /// [`NumericView::finite_range`], shared with the snapshot cache.
     pub fn numeric_range(&self, attr_id: usize) -> Result<(f64, f64)> {
-        let col = self.numeric(attr_id).ok_or_else(|| TelemetryError::KindMismatch {
-            attribute: self.schema.attr(attr_id).name.clone(),
-            expected: "numeric",
-        })?;
+        let col =
+            self.numeric(attr_id).ok_or_else(|| not_of_kind(&self.schema, attr_id, "numeric"))?;
         NumericView(col).finite_range().ok_or(TelemetryError::Empty("numeric column"))
     }
 
@@ -317,6 +301,28 @@ mod tests {
         assert!(d.numeric(1).is_none());
         assert!(d.categorical(0).is_err());
         assert!(d.intern(0, "x").is_err());
+    }
+
+    /// One-column dataset for the out-of-range accessor tests.
+    fn one_column() -> Dataset {
+        let mut d = Dataset::new(Schema::from_attrs([AttributeMeta::numeric("x")]).unwrap());
+        d.push_row(0.0, &[Value::Num(1.0)]).unwrap();
+        d
+    }
+
+    #[test]
+    fn categorical_rejects_an_unknown_id() {
+        assert!(matches!(one_column().categorical(5), Err(TelemetryError::UnknownAttribute(_))));
+    }
+
+    #[test]
+    fn numeric_mut_rejects_an_unknown_id() {
+        assert!(matches!(one_column().numeric_mut(5), Err(TelemetryError::UnknownAttribute(_))));
+    }
+
+    #[test]
+    fn numeric_range_rejects_an_unknown_id() {
+        assert!(matches!(one_column().numeric_range(5), Err(TelemetryError::UnknownAttribute(_))));
     }
 
     #[test]

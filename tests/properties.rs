@@ -1,6 +1,7 @@
 //! Property-based tests over the core invariants (proptest).
 
 use dbsherlock::core::filter::filter_partitions;
+use dbsherlock::core::label::labelled_space;
 use dbsherlock::core::{
     generate_predicates, merge_predicates, partition_separation_power, separation_power,
     PartitionLabel, PartitionSpace, Predicate, SherlockParams,
@@ -40,7 +41,7 @@ proptest! {
         r in 1usize..500,
     ) {
         let d = dataset_from(&values);
-        if let Some(space) = PartitionSpace::build(&d, 0, r) {
+        if let Some(space) = PartitionSpace::from_numeric_range(d.numeric_range(0).ok(), r) {
             prop_assert_eq!(space.len(), r);
             for &v in &values {
                 let j = space.index_of_num(v).unwrap();
@@ -236,10 +237,9 @@ proptest! {
         let n = values.len();
         let abnormal = Region::from_range(0..n / 2);
         let normal = abnormal.complement(n);
-        if let Some(space) = PartitionSpace::build(&d, 0, 50) {
-            let labels = dbsherlock::core::label::label_partitions(&d, 0, &space, &abnormal, &normal);
+        if let Some(l) = labelled_space(&d.snapshot(), 0, &abnormal, &normal, 50) {
             let p = Predicate::gt("x", threshold);
-            let sp = partition_separation_power(&p, &space, &labels, &d, 0);
+            let sp = partition_separation_power(&p, &l.space, &l.labels, &d, 0);
             prop_assert!((-1.0..=1.0).contains(&sp));
         }
     }
