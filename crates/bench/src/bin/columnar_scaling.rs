@@ -8,7 +8,8 @@
 //!   (`Sherlock::try_explain`).
 //! * **scalar** — the retained row-wise reference shim: per-cell
 //!   `value()` dispatch everywhere (`Sherlock::explain_scalar`, compiled
-//!   under the core `scalar-shim` feature).
+//!   under the core `scalar-shim` feature; run this binary with
+//!   `--features scalar-shim`).
 //!
 //! Every measured pair is **hard-asserted bit-identical** (predicates,
 //! confidences to the bit) before any timing is reported, and the

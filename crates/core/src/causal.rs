@@ -112,7 +112,7 @@ impl CausalModel {
                 let Some(attr_id) = dataset.schema().id_of(&pred.attr) else {
                     return 0.0;
                 };
-                let Some(Some(LabelledSpace { space, labels })) = spaces.get(attr_id) else {
+                let Some(Some(LabelledSpace { space, labels, .. })) = spaces.get(attr_id) else {
                     return 0.0;
                 };
                 partition_separation_power(pred, space, labels, dataset, attr_id)

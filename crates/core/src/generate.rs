@@ -1,10 +1,12 @@
 //! Algorithm 1: predicate generation (paper §4).
 //!
 //! Per attribute: build the partition space and label it from the abnormal
-//! and normal regions ([`labelled_space`]), then (numeric only) filter noisy
-//! partitions and fill the gaps; finally extract a candidate predicate when
-//! the single-block and `|µ_A − µ_N| > θ` conditions hold. Categorical
-//! attributes skip the filtering/filling steps and extract straight after
+//! and normal regions ([`labelled_space`], whose pass over each region also
+//! takes a numeric attribute's normalized mean difference). A numeric
+//! attribute with `|µ_A − µ_N| ≤ θ` stops there; the rest filter noisy
+//! partitions, fill the gaps and extract a candidate predicate when the
+//! filled space holds a single abnormal block. Categorical attributes skip
+//! the gate and the filtering/filling steps and extract straight after
 //! labeling. The labelled spaces go on to Eq. 3's ranking.
 
 use dbsherlock_telemetry::{AttributeKind, ColumnarSnapshot, Dataset, Region};
@@ -12,7 +14,7 @@ use dbsherlock_telemetry::{AttributeKind, ColumnarSnapshot, Dataset, Region};
 use crate::budget::ArmedBudget;
 use crate::error::SherlockError;
 use crate::exec::try_par_map_indexed;
-use crate::extract::{extract_categorical_view, extract_numeric, normalized_mean_difference_view};
+use crate::extract::{extract_categorical_view, extract_numeric};
 use crate::fill::fill_gaps_view;
 use crate::filter::filter_partitions;
 use crate::label::{labelled_space, LabelledSpace};
@@ -122,10 +124,10 @@ pub fn try_generate_predicates(
     Ok((predicates, spaces))
 }
 
-/// Algorithm 1 for a single attribute after labelling: (numeric) filter and
-/// fill, then extract — the unit of work the parallel executor maps over.
-/// All inputs come from the snapshot and the attribute's labelled space:
-/// one column view, one memoized range, zero per-cell accesses.
+/// Algorithm 1 for a single attribute after labelling: (numeric) the θ
+/// gate, filter and fill, then extract — the unit of work the parallel
+/// executor maps over. All inputs come from the snapshot and the
+/// attribute's labelled space: one column view, zero per-cell accesses.
 fn extract_for_attribute(
     snapshot: &ColumnarSnapshot<'_>,
     attr_id: usize,
@@ -137,9 +139,15 @@ fn extract_for_attribute(
 ) -> Option<GeneratedPredicate> {
     let attr = snapshot.schema().get(attr_id)?;
     let view = snapshot.column(attr_id);
-    let LabelledSpace { space, labels } = labelled;
+    let LabelledSpace { space, labels, normalized_diff } = labelled;
     match attr.kind {
         AttributeKind::Numeric => {
+            // θ first: filtering and filling are pure, and wasted on an
+            // attribute the gate rejects.
+            let d = (*normalized_diff)?;
+            if d <= params.theta {
+                return None;
+            }
             let values = view.numeric()?;
             let filtered =
                 if ablation.skip_filtering { labels.clone() } else { filter_partitions(labels) };
@@ -148,15 +156,6 @@ fn extract_for_attribute(
             } else {
                 fill_gaps_view(&filtered, params.delta, values, space, normal)
             };
-            let d = normalized_mean_difference_view(
-                values,
-                snapshot.numeric_range(attr_id)?,
-                abnormal,
-                normal,
-            )?;
-            if d <= params.theta {
-                return None;
-            }
             let predicate = extract_numeric(&attr.name, space, &filled)?;
             let sp = separation_power_view(&predicate, view, abnormal, normal);
             (sp >= params.min_separation_power).then_some(GeneratedPredicate {

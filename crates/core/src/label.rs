@@ -9,29 +9,40 @@
 //!
 //! [`labelled_space`] is the one place a case turns an attribute into a
 //! labelled partition space: Algorithm 1 labels every attribute through it
-//! and hands the spaces on, and Eq. 3 scores causal models on them.
+//! and hands the spaces on, and Eq. 3 scores causal models on them. For a
+//! numeric attribute the pass that labels each region also takes Eq. 2's
+//! normalized mean difference, which Algorithm 1's θ gate reads.
+//! [`label_partitions_view`] labels alone, and with
+//! [`normalized_mean_difference_view`](crate::extract::normalized_mean_difference_view)
+//! is the reference the builder is checked against.
 
 use dbsherlock_telemetry::{AttributeKind, ColumnView, ColumnarSnapshot, Region};
 
-use crate::partition::{PartitionLabel, PartitionSpace};
+use crate::partition::{NumericBinner, PartitionLabel, PartitionSpace};
 
-/// An attribute's partition space and its labels before filtering (§4.1–4.2):
-/// what Algorithm 1 filters, fills and extracts from, and what Eq. 3 scores
-/// a causal model's predicates on.
+/// An attribute's partition space and its labels before filtering (§4.1–4.2),
+/// with Eq. 2's mean difference for a numeric attribute: what Algorithm 1
+/// gates, filters, fills and extracts from, and what Eq. 3 scores a causal
+/// model's predicates on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelledSpace {
     /// The attribute's discretized domain.
     pub space: PartitionSpace,
     /// One label per partition of `space`.
     pub labels: Vec<PartitionLabel>,
+    /// Normalized mean difference `|µ_A − µ_N|` (Eq. 2 + §4.5) over the
+    /// same regions; `None` for a categorical attribute, and when either
+    /// region holds no finite value.
+    pub normalized_diff: Option<f64>,
 }
 
 /// Build the partition space of `attr_id` with `r` partitions and label it
 /// from the `abnormal` and `normal` regions. A numeric space spans the
-/// snapshot's memoized finite range; a categorical one has a partition per
-/// dictionary entry. `None` when the attribute cannot be partitioned: an id
-/// outside the schema, no finite value, a constant column, or an empty
-/// dictionary.
+/// snapshot's memoized finite range, and the same pass over each region
+/// takes the normalized mean difference; a categorical space has a
+/// partition per dictionary entry. `None` when the attribute cannot be
+/// partitioned: an id outside the schema, no finite value, a constant
+/// column, or an empty dictionary.
 pub fn labelled_space(
     snapshot: &ColumnarSnapshot<'_>,
     attr_id: usize,
@@ -40,14 +51,61 @@ pub fn labelled_space(
     r: usize,
 ) -> Option<LabelledSpace> {
     let view = snapshot.column(attr_id);
-    let space = match snapshot.schema().get(attr_id)?.kind {
+    match snapshot.schema().get(attr_id)?.kind {
         AttributeKind::Numeric => {
-            PartitionSpace::from_numeric_range(snapshot.numeric_range(attr_id), r)?
+            let space = PartitionSpace::from_numeric_range(snapshot.numeric_range(attr_id), r)?;
+            let binner = space.numeric_binner()?;
+            let (labels, normalized_diff) = label_numeric_with_mean_diff(
+                view.numeric()?,
+                binner,
+                space.len(),
+                abnormal,
+                normal,
+            );
+            Some(LabelledSpace { space, labels, normalized_diff })
         }
-        AttributeKind::Categorical => PartitionSpace::from_dictionary(view.categorical()?.1)?,
+        AttributeKind::Categorical => {
+            let space = PartitionSpace::from_dictionary(view.categorical()?.1)?;
+            let labels = label_partitions_view(view, &space, abnormal, normal);
+            Some(LabelledSpace { space, labels, normalized_diff: None })
+        }
+    }
+}
+
+/// Numeric labels and Eq. 2 in one pass per region: each finite value in
+/// the column is divided once ([`NumericBinner::bin_and_normalize`]),
+/// counted in its partition and added to its region's normalized sum in
+/// the region's index order. Labels and difference are bit for bit those of
+/// [`label_partitions_view`] and
+/// [`normalized_mean_difference_view`](crate::extract::normalized_mean_difference_view),
+/// which divide each value once per kernel.
+fn label_numeric_with_mean_diff(
+    values: &[f64],
+    binner: NumericBinner,
+    r: usize,
+    abnormal: &Region,
+    normal: &Region,
+) -> (Vec<PartitionLabel>, Option<f64>) {
+    // One region's hits per partition and mean normalized value.
+    let scan = |region: &Region| {
+        let mut hits = vec![0usize; r];
+        let (mut sum, mut count) = (0.0f64, 0usize);
+        for &row in region.indices() {
+            let Some((j, x)) = values.get(row).and_then(|&v| binner.bin_and_normalize(v)) else {
+                continue;
+            };
+            if let Some(hits) = hits.get_mut(j) {
+                *hits += 1;
+            }
+            sum += x;
+            count += 1;
+        }
+        (hits, (count > 0).then(|| sum / count as f64))
     };
-    let labels = label_partitions_view(view, &space, abnormal, normal);
-    Some(LabelledSpace { space, labels })
+    let (abnormal_hits, abnormal_mean) = scan(abnormal);
+    let (normal_hits, normal_mean) = scan(normal);
+    let diff = abnormal_mean.zip(normal_mean).map(|(a, n)| (a - n).abs());
+    (purity(&abnormal_hits, &normal_hits), diff)
 }
 
 /// Columnar labeling kernel: two count passes over the region indices of
@@ -99,9 +157,14 @@ fn label_numeric(
             }
         }
     }
+    purity(&abnormal_hits, &normal_hits)
+}
+
+/// The purity rule over per-partition hit counts of the two regions.
+fn purity(abnormal_hits: &[usize], normal_hits: &[usize]) -> Vec<PartitionLabel> {
     abnormal_hits
         .iter()
-        .zip(&normal_hits)
+        .zip(normal_hits)
         .map(|(&a, &n)| match (a, n) {
             (0, 0) => PartitionLabel::Empty,
             (_, 0) => PartitionLabel::Abnormal,

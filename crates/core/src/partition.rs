@@ -117,7 +117,8 @@ impl PartitionSpace {
 
     /// Midpoint of numeric partition `j` (used when testing whether a
     /// partition "satisfies" a predicate in the confidence computation,
-    /// Eq. 3 — see `separation::partition_separation_power`).
+    /// Eq. 3 — see `separation::partition_separation_power`). On every
+    /// space `from_numeric_range` builds it never decreases in `j`.
     pub fn midpoint(&self, j: usize) -> Option<f64> {
         let lb = self.lower_bound(j)?;
         Some(lb + self.width()? / 2.0)
@@ -140,11 +141,23 @@ impl NumericBinner {
     /// the edge partitions outside `[min, max]`.
     #[inline]
     pub fn bin(&self, v: f64) -> Option<usize> {
+        self.bin_and_normalize(v).map(|(j, _)| j)
+    }
+
+    /// Partition index of `v` and its Eq. 2 normalization, both from one
+    /// quotient `x = (v − min) / (max − min)`: the index is `⌊x·r⌋` clamped
+    /// to the edge partitions, the normalization `x` clamped to `[0, 1]`,
+    /// which is `stats::normalize(v, min, max)` whenever the width is
+    /// positive and finite (every space `from_numeric_range` builds).
+    /// `None` for non-finite values.
+    #[inline]
+    pub fn bin_and_normalize(&self, v: f64) -> Option<(usize, f64)> {
         if !v.is_finite() {
             return None;
         }
-        let idx = ((v - self.min) / (self.max - self.min) * self.r as f64).floor() as isize;
-        Some(idx.clamp(0, self.r as isize - 1) as usize)
+        let x = (v - self.min) / (self.max - self.min);
+        let idx = (x * self.r as f64).floor() as isize;
+        Some((idx.clamp(0, self.r as isize - 1) as usize, x.clamp(0.0, 1.0)))
     }
 }
 

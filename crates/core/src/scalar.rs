@@ -416,6 +416,8 @@ mod tests {
             predicates,
             merged_from: 1,
         };
+        let space = partition_space(&d, 0, params.n_partitions).unwrap();
+        let on_midpoint = space.midpoint(params.n_partitions / 3).unwrap();
         let mut repo = ModelRepository::new();
         for m in [
             model("hot", vec![Predicate::gt("signal", 50.0)]),
@@ -424,6 +426,24 @@ mod tests {
             model("missing", vec![Predicate::gt("missing", 0.0), Predicate::gt("signal", 50.0)]),
             model("twice", vec![Predicate::gt("signal", 50.0), Predicate::lt("signal", 91.0)]),
             model("empty", vec![]),
+            // Thresholds the binary-searched Eq. 3 term must treat as the
+            // midpoint test does: NaN, infinite, signed zero, a reversed
+            // band, and a threshold on a partition midpoint.
+            model(
+                "nan",
+                vec![Predicate::gt("signal", f64::NAN), Predicate::lt("signal", f64::NAN)],
+            ),
+            model("reversed", vec![Predicate::between("signal", 91.0, 50.0)]),
+            model(
+                "infinite",
+                vec![
+                    Predicate::lt("signal", f64::INFINITY),
+                    Predicate::gt("signal", f64::NEG_INFINITY),
+                    Predicate::between("signal", f64::NEG_INFINITY, 50.0),
+                ],
+            ),
+            model("zero", vec![Predicate::gt("signal", -0.0), Predicate::lt("signal", 0.0)]),
+            model("on a midpoint", vec![Predicate::gt("signal", on_midpoint)]),
         ] {
             repo.add(m);
         }

@@ -1,9 +1,11 @@
 //! Separation power (paper Eq. 1) on tuples and on partition spaces.
 
+use std::ops::Range;
+
 use dbsherlock_telemetry::{ColumnView, Dataset, Region};
 
 use crate::partition::{PartitionLabel, PartitionSpace};
-use crate::predicate::Predicate;
+use crate::predicate::{Predicate, PredicateOp};
 
 /// Tuple-level separation power (Eq. 1):
 /// `SP(Pred) = |Pred(T_A)| / |T_A|  −  |Pred(T_N)| / |T_N|`, in `[-1, 1]`.
@@ -54,6 +56,10 @@ pub fn separation_power_view(
 /// *midpoint* for numeric spaces (a partition is far narrower than any
 /// predicate of interest at the default R, so midpoint vs. overlap is
 /// immaterial) and the partition's category label for categorical spaces.
+/// A numeric predicate holds on one range of partitions, whose ends are
+/// binary-searched (`midpoint_range`); a categorical one is resolved once
+/// per dictionary entry. Either way one pass over the labels counts the
+/// term.
 pub fn partition_separation_power(
     predicate: &Predicate,
     space: &PartitionSpace,
@@ -61,39 +67,82 @@ pub fn partition_separation_power(
     dataset: &Dataset,
     attr_id: usize,
 ) -> f64 {
-    // Resolve satisfaction once per column: midpoint tests stay per-
-    // partition arithmetic, categorical tests become one dictionary
-    // lookup per distinct category instead of one per labeled partition.
-    let satisfies: Vec<bool> = match space {
-        PartitionSpace::Numeric { .. } => (0..labels.len())
-            .map(|j| space.midpoint(j).map(|m| predicate.op.matches_num(m)).unwrap_or(false))
-            .collect(),
-        PartitionSpace::Categorical { .. } => match dataset.categorical(attr_id) {
-            Ok((_, dict)) => {
-                let table = predicate.op.category_table(dict);
-                (0..labels.len()).map(|j| table.get(j).copied().unwrap_or(false)).collect()
+    match space {
+        PartitionSpace::Numeric { .. } => {
+            match midpoint_range(&predicate.op, space, labels.len()) {
+                Some(hits) => eq3_term(labels, |j| hits.contains(&j)),
+                // A hand-built space with `max < min`: its midpoints fall in
+                // `j`, so each partition is tested on its own.
+                None => eq3_term(labels, |j| {
+                    space.midpoint(j).is_some_and(|m| predicate.op.matches_num(m))
+                }),
             }
-            Err(_) => vec![false; labels.len()],
-        },
+        }
+        PartitionSpace::Categorical { .. } => {
+            let table = match dataset.categorical(attr_id) {
+                Ok((_, dict)) => predicate.op.category_table(dict),
+                Err(_) => Vec::new(),
+            };
+            eq3_term(labels, |j| table.get(j).copied().unwrap_or(false))
+        }
+    }
+}
+
+/// The partitions among `0..n` of a numeric `space` whose midpoints
+/// satisfy `op`, in O(log n) midpoint tests; `None` when the width is
+/// negative, which no built space has. Otherwise midpoints never decrease
+/// in `j`, so `Gt(lo)` holds on a suffix of the partitions and `Lt(hi)` on
+/// a prefix, and `Between(lo, hi)`, which holds where both do, on the
+/// range between. A NaN threshold, or `Between(lo, hi)` with `lo ≥ hi`,
+/// gives an empty range.
+fn midpoint_range(op: &PredicateOp, space: &PartitionSpace, n: usize) -> Option<Range<usize>> {
+    if space.width()? < 0.0 {
+        return None;
+    }
+    let mid = |j: usize| space.midpoint(j).unwrap_or(f64::NAN);
+    let first_above = |lo: f64| first_where(n, |j| PredicateOp::Gt(lo).matches_num(mid(j)));
+    let first_not_below = |hi: f64| first_where(n, |j| !PredicateOp::Lt(hi).matches_num(mid(j)));
+    let (start, end) = match *op {
+        PredicateOp::Lt(hi) => (0, first_not_below(hi)),
+        PredicateOp::Gt(lo) => (first_above(lo), n),
+        PredicateOp::Between(lo, hi) => (first_above(lo), first_not_below(hi)),
+        PredicateOp::InSet(_) => (0, 0),
     };
+    // `end < start` only where nothing holds, and then the range is empty.
+    Some(start..end)
+}
+
+/// The first `j` in `0..n` where `past(j)` holds, or `n`: a binary search,
+/// so `past` must be false on a prefix of `0..n` and true after it.
+fn first_where(n: usize, past: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if past(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// One Eq. 3 term from the labels and which partitions satisfy the
+/// predicate, counted in one pass over the labels.
+fn eq3_term(labels: &[PartitionLabel], satisfies: impl Fn(usize) -> bool) -> f64 {
     let mut abnormal_total = 0usize;
     let mut abnormal_hits = 0usize;
     let mut normal_total = 0usize;
     let mut normal_hits = 0usize;
     for (j, &label) in labels.iter().enumerate() {
-        let sat = satisfies.get(j).copied().unwrap_or(false);
         match label {
             PartitionLabel::Abnormal => {
                 abnormal_total += 1;
-                if sat {
-                    abnormal_hits += 1;
-                }
+                abnormal_hits += usize::from(satisfies(j));
             }
             PartitionLabel::Normal => {
                 normal_total += 1;
-                if sat {
-                    normal_hits += 1;
-                }
+                normal_hits += usize::from(satisfies(j));
             }
             PartitionLabel::Empty => {}
         }

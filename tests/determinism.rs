@@ -503,12 +503,16 @@ fn explain_batch_equals_serial_loop_bit_for_bit() {
 }
 
 /// Algorithm 1, §5 pruning and §6 ranking spelled out through the public
-/// stage kernels, in the order `Sherlock::try_explain` runs them (the chain
-/// perfbench's replica composes): snapshot → `from_numeric_range` /
-/// `from_dictionary` → `label_partitions_view` → `filter_partitions` →
-/// `fill_gaps_view` → `normalized_mean_difference_view` → θ gate →
-/// `extract_numeric` / `extract_categorical_view` → `separation_power_view`
-/// → min-SP gate → `DomainKnowledge::prune` → `try_rank` → λ filter.
+/// stage kernels, in the reference order that perfbench's replica also
+/// composes: snapshot → `from_numeric_range` / `from_dictionary` →
+/// `label_partitions_view` → `filter_partitions` → `fill_gaps_view` →
+/// `normalized_mean_difference_view` → θ gate → `extract_numeric` /
+/// `extract_categorical_view` → `separation_power_view` → min-SP gate →
+/// `DomainKnowledge::prune` → `try_rank` → λ filter. `Sherlock::try_explain`
+/// reaches the same result with less work: `labelled_space` labels and
+/// takes the mean difference in one pass per region, θ gates before filter
+/// and fill, and ranking scores the spaces generation built, so this chain
+/// checks the engine against kernels it no longer runs in this order.
 fn explain_by_public_kernels(
     d: &Dataset,
     abnormal: &Region,

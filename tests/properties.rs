@@ -1,7 +1,9 @@
 //! Property-based tests over the core invariants (proptest).
 
+use dbsherlock::core::extract::normalized_mean_difference_view;
 use dbsherlock::core::filter::filter_partitions;
-use dbsherlock::core::label::labelled_space;
+use dbsherlock::core::label::{label_partitions_view, labelled_space};
+use dbsherlock::core::scalar;
 use dbsherlock::core::{
     generate_predicates, merge_predicates, partition_separation_power, separation_power,
     PartitionLabel, PartitionSpace, Predicate, SherlockParams,
@@ -227,20 +229,161 @@ proptest! {
         }
     }
 
-    /// Partition-space separation power (the Eq. 3 term) is bounded.
+    /// Partition-space separation power (the Eq. 3 term) is bounded, and
+    /// equals the scalar shim's test of every midpoint to the bit.
     #[test]
     fn partition_sp_bounded(
         values in proptest::collection::vec(0.0_f64..100.0, 20..100),
         threshold in 0.0_f64..100.0,
+        other in 0.0_f64..100.0,
     ) {
         let d = dataset_from(&values);
         let n = values.len();
         let abnormal = Region::from_range(0..n / 2);
         let normal = abnormal.complement(n);
         if let Some(l) = labelled_space(&d.snapshot(), 0, &abnormal, &normal, 50) {
-            let p = Predicate::gt("x", threshold);
-            let sp = partition_separation_power(&p, &l.space, &l.labels, &d, 0);
-            prop_assert!((-1.0..=1.0).contains(&sp));
+            for p in [
+                Predicate::gt("x", threshold),
+                Predicate::lt("x", threshold),
+                Predicate::between("x", threshold, other),
+            ] {
+                let sp = partition_separation_power(&p, &l.space, &l.labels, &d, 0);
+                prop_assert!((-1.0..=1.0).contains(&sp));
+                let scalar = scalar::partition_separation_power(&p, &l.space, &l.labels, &d, 0);
+                prop_assert_eq!(sp.to_bits(), scalar.to_bits(), "{}", p);
+            }
         }
+    }
+}
+
+fn label_of(x: u8) -> PartitionLabel {
+    match x {
+        0 => PartitionLabel::Empty,
+        1 => PartitionLabel::Normal,
+        _ => PartitionLabel::Abnormal,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The Eq. 3 term, which binary-searches the range of partitions a
+    /// numeric predicate holds on, equals the scalar shim's test of every
+    /// midpoint to the bit on hand-built spaces: negative ranges, widths
+    /// so small next to `min` that neighbouring midpoints tie, inverted
+    /// ranges, label vectors of length `r` and of other lengths, and
+    /// thresholds on, next to and between the midpoints, or NaN, ±∞ and
+    /// ±0.0, with `Between(a, b)` taken both ways round.
+    #[test]
+    fn partition_sp_matches_the_scalar_term_on_hand_built_spaces(
+        min in -1e9_f64..1e9,
+        scale in -60i32..4,
+        r in 1usize..300,
+        inverted in 0u8..6,
+        exact_len in any::<bool>(),
+        labels_raw in proptest::collection::vec(0u8..3, 0..600),
+        picks in proptest::collection::vec((0u8..12, 0usize..700), 2..10),
+    ) {
+        let span = min.abs().max(1.0) * 2f64.powi(scale);
+        let max = if inverted == 0 { min - span } else { min + span };
+        let space = PartitionSpace::Numeric { min, max, r };
+        let labels: Vec<PartitionLabel> = if exact_len {
+            (0..r).map(|j| label_of(labels_raw.get(j).copied().unwrap_or(0))).collect()
+        } else {
+            labels_raw.iter().map(|&x| label_of(x)).collect()
+        };
+        let thresholds: Vec<f64> = picks
+            .iter()
+            .map(|&(kind, j)| {
+                let m = space.midpoint(j).unwrap();
+                match kind {
+                    0..=4 => m,
+                    5 => m.next_up(),
+                    6 => m.next_down(),
+                    7 => f64::NAN,
+                    8 => f64::INFINITY,
+                    9 => f64::NEG_INFINITY,
+                    10 => 0.0,
+                    _ => -0.0,
+                }
+            })
+            .collect();
+        let mut predicates = vec![Predicate::in_set("x", Vec::new())];
+        for pair in thresholds.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            predicates.extend([
+                Predicate::lt("x", a),
+                Predicate::gt("x", a),
+                Predicate::between("x", a, b),
+                Predicate::between("x", b, a),
+            ]);
+        }
+        let d = dataset_from(&[0.0, 1.0]);
+        for p in &predicates {
+            let fast = partition_separation_power(p, &space, &labels, &d, 0);
+            let slow = scalar::partition_separation_power(p, &space, &labels, &d, 0);
+            prop_assert_eq!(
+                fast.to_bits(),
+                slow.to_bits(),
+                "{:?} on {:?} with {} labels",
+                p,
+                space,
+                labels.len()
+            );
+        }
+    }
+
+    /// `labelled_space`'s one pass per region gives the labels and the
+    /// normalized mean difference that the reference kernels compute
+    /// apart (`label_partitions_view` with
+    /// `normalized_mean_difference_view`, and the scalar shim), to the
+    /// bit: on columns holding NaN, ±∞, ±0.0 and repeats, regions with
+    /// rows beyond the column, and explicit normal regions that overlap
+    /// the abnormal one.
+    #[test]
+    fn labelled_space_matches_the_reference_kernels(
+        cells in proptest::collection::vec((0u8..10, -1e3_f64..1e3), 1..150),
+        r in 1usize..300,
+        abnormal_rows in proptest::collection::vec(0usize..200, 0..100),
+        normal_rows in proptest::collection::vec(0usize..200, 0..150),
+        explicit_normal in any::<bool>(),
+    ) {
+        let values: Vec<f64> = cells
+            .iter()
+            .map(|&(kind, v)| match kind {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 | 6 => (v / 100.0).round(),
+                _ => v,
+            })
+            .collect();
+        let d = dataset_from(&values);
+        let abnormal = Region::from_indices(abnormal_rows);
+        let normal = if explicit_normal {
+            Region::from_indices(normal_rows)
+        } else {
+            abnormal.complement(values.len())
+        };
+        let snapshot = d.snapshot();
+        let built = labelled_space(&snapshot, 0, &abnormal, &normal, r);
+        let range = snapshot.numeric_range(0);
+        let Some(space) = PartitionSpace::from_numeric_range(range, r) else {
+            prop_assert!(built.is_none());
+            return Ok(());
+        };
+        let built = built.unwrap();
+        prop_assert_eq!(&built.space, &space);
+        let bits = |diff: Option<f64>| diff.map(f64::to_bits);
+        let labels = label_partitions_view(snapshot.column(0), &space, &abnormal, &normal);
+        let diff = normalized_mean_difference_view(&values, range.unwrap(), &abnormal, &normal);
+        prop_assert_eq!(&built.labels, &labels);
+        prop_assert_eq!(bits(built.normalized_diff), bits(diff));
+        let scalar_labels = scalar::label_partitions(&d, 0, &space, &abnormal, &normal);
+        let scalar_diff = scalar::normalized_mean_difference(&d, 0, &abnormal, &normal);
+        prop_assert_eq!(&built.labels, &scalar_labels);
+        prop_assert_eq!(bits(built.normalized_diff), bits(scalar_diff));
     }
 }
