@@ -6,14 +6,14 @@
 //! decision ("this predicate is a secondary symptom") is scored against
 //! graph-reachability ground truth and the average F1 is reported.
 
+use dbsherlock_bench::eval::pruning_confusion;
 use dbsherlock_bench::{pct, write_json, ExperimentArgs, Table};
-use dbsherlock_causal_synth::{SynthConfig, SynthInstance};
-use dbsherlock_core::{generate_predicates, DomainKnowledge, Rule, SherlockParams};
+use dbsherlock_causal_synth::SynthConfig;
+use dbsherlock_core::{Accuracy, SherlockParams};
 
 /// Precision/recall/F1 of pruning decisions over `runs` random graphs at
 /// one κ_t.
 fn prune_f1(kappa_t: f64, runs: usize, seed: u64) -> (f64, f64, f64) {
-    let config = SynthConfig::default();
     // Low θ and SP floor: the synthetic SEM experiment evaluates the
     // pruning decision, so predicate generation should be permissive.
     let params = SherlockParams::builder()
@@ -22,41 +22,10 @@ fn prune_f1(kappa_t: f64, runs: usize, seed: u64) -> (f64, f64, f64) {
         .min_separation_power(0.0)
         .build()
         .expect("sweep parameters are in range");
-    let (mut tp, mut fp, mut fn_) = (0usize, 0usize, 0usize);
-    for run in 0..runs {
-        let inst = SynthInstance::generate(&config, seed.wrapping_add(run as u64));
-        let abnormal = inst.abnormal.clone();
-        let normal = abnormal.complement(inst.dataset.n_rows());
-        let raw = generate_predicates(&inst.dataset, &abnormal, &normal, &params);
-        let kb = DomainKnowledge::new(
-            inst.rules.iter().map(|r| Rule::new(r.cause.clone(), r.effect.clone())),
-        )
+    let (tp, fp, fn_, _) = pruning_confusion(&SynthConfig::default(), &params, runs, seed)
         .expect("synthetic rules are consistent");
-        let survivors = kb.prune(&inst.dataset, raw.clone(), &params);
-        for generated in &raw {
-            let attr = &generated.predicate.attr;
-            let Some(should_prune) = inst.should_prune(attr) else {
-                continue;
-            };
-            let was_pruned = !survivors.iter().any(|s| &s.predicate.attr == attr);
-            match (was_pruned, should_prune) {
-                (true, true) => tp += 1,
-                (true, false) => fp += 1,
-                (false, true) => fn_ += 1,
-                (false, false) => {}
-            }
-        }
-    }
-    let precision = if tp + fp == 0 { 0.0 } else { tp as f64 / (tp + fp) as f64 };
-    let recall = if tp + fn_ == 0 { 0.0 } else { tp as f64 / (tp + fn_) as f64 };
-    // `> 0.0` instead of `== 0.0`: guards the 0/0 case and maps a NaN
-    // precision/recall to 0.0 rather than propagating it.
-    let f1 = if precision + recall > 0.0 {
-        2.0 * precision * recall / (precision + recall)
-    } else {
-        0.0
-    };
-    (precision * 100.0, recall * 100.0, f1 * 100.0)
+    let acc = Accuracy::of_counts(tp, fp, fn_);
+    (acc.precision * 100.0, acc.recall * 100.0, acc.f1 * 100.0)
 }
 
 fn main() {

@@ -7,14 +7,14 @@
 //! The paper runs 10,000 graphs; the quick default is 1,000 (`--full` for
 //! the paper count).
 
+use dbsherlock_bench::eval::pruning_confusion;
 use dbsherlock_bench::{pct, write_json, ExperimentArgs, Table};
-use dbsherlock_causal_synth::{SynthConfig, SynthInstance};
-use dbsherlock_core::{generate_predicates, DomainKnowledge, Rule, SherlockParams};
+use dbsherlock_causal_synth::SynthConfig;
+use dbsherlock_core::SherlockParams;
 
 fn main() {
     let args = ExperimentArgs::parse();
     let runs = args.repeats_or(1000, 10_000);
-    let config = SynthConfig::default();
     let params = SherlockParams::builder()
         .theta(0.01)
         .min_separation_power(0.0)
@@ -22,31 +22,8 @@ fn main() {
         .expect("permissive generation parameters are in range");
 
     // Confusion counts: actual = should-prune (secondary symptom)?
-    let (mut tp, mut fp, mut fn_, mut tn) = (0usize, 0usize, 0usize, 0usize);
-    for run in 0..runs {
-        let inst = SynthInstance::generate(&config, 0x7AB8 + run as u64);
-        let abnormal = inst.abnormal.clone();
-        let normal = abnormal.complement(inst.dataset.n_rows());
-        let raw = generate_predicates(&inst.dataset, &abnormal, &normal, &params);
-        let kb = DomainKnowledge::new(
-            inst.rules.iter().map(|r| Rule::new(r.cause.clone(), r.effect.clone())),
-        )
+    let (tp, fp, fn_, tn) = pruning_confusion(&SynthConfig::default(), &params, runs, 0x7AB8)
         .expect("synthetic rules are consistent");
-        let survivors = kb.prune(&inst.dataset, raw.clone(), &params);
-        for generated in &raw {
-            let attr = &generated.predicate.attr;
-            let Some(should_prune) = inst.should_prune(attr) else {
-                continue;
-            };
-            let was_pruned = !survivors.iter().any(|s| &s.predicate.attr == attr);
-            match (was_pruned, should_prune) {
-                (true, true) => tp += 1,
-                (true, false) => fp += 1,
-                (false, true) => fn_ += 1,
-                (false, false) => tn += 1,
-            }
-        }
-    }
 
     // Column-normalized percentages, as Table 8 reports them.
     let col = |hit: usize, miss: usize| {

@@ -7,7 +7,7 @@
 
 use std::sync::OnceLock;
 
-use dbsherlock_core::{par_map_indexed, ExecPolicy};
+use dbsherlock_core::{try_par_map_indexed, ExecPolicy};
 use dbsherlock_simulator::{
     generate_long_corpus, standard_scenario, AnomalyKind, Benchmark, CorpusEntry, VARIATIONS,
 };
@@ -15,6 +15,7 @@ use dbsherlock_simulator::{
 /// Seed of every standard corpus (one knob to regenerate everything).
 pub const CORPUS_SEED: u64 = 20160626; // SIGMOD'16 opening day
 
+#[allow(clippy::expect_used, reason = "a corpus with a hole would skew every experiment")]
 fn generate_parallel(benchmark: Benchmark) -> Vec<CorpusEntry> {
     let cells: Vec<(AnomalyKind, usize)> = AnomalyKind::ALL
         .iter()
@@ -22,11 +23,16 @@ fn generate_parallel(benchmark: Benchmark) -> Vec<CorpusEntry> {
         .collect();
     // Indexed collection keeps (kind, variant) order identical to the old
     // serial nesting, whatever the thread schedule.
-    par_map_indexed(ExecPolicy::Auto, &cells, |_, &(kind, variant)| CorpusEntry {
-        kind,
-        variant,
-        labeled: standard_scenario(benchmark, kind, variant, CORPUS_SEED).run(),
+    try_par_map_indexed(ExecPolicy::Auto, "corpus", &cells, |_, &(kind, variant)| {
+        Ok(CorpusEntry {
+            kind,
+            variant,
+            labeled: standard_scenario(benchmark, kind, variant, CORPUS_SEED).run(),
+        })
     })
+    .into_iter()
+    .map(|slot| slot.expect("corpus generation panicked"))
+    .collect()
 }
 
 /// The 110-dataset TPC-C-like corpus (§8.2).

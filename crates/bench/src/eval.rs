@@ -1,9 +1,10 @@
 //! Shared evaluation drivers: model construction, ranking, accuracy and
 //! margin bookkeeping.
 
+use dbsherlock_causal_synth::{SynthConfig, SynthInstance};
 use dbsherlock_core::{
     generate_predicates, CausalModel, DomainKnowledge, GeneratedPredicate, ModelRepository,
-    RankedCause, SherlockParams,
+    RankedCause, Rule, SherlockError, SherlockParams,
 };
 use dbsherlock_simulator::{AnomalyKind, CorpusEntry, LabeledDataset};
 use dbsherlock_telemetry::Region;
@@ -49,6 +50,42 @@ pub fn merged_model(
     let models: Vec<CausalModel> =
         entries.iter().map(|e| single_model(e, params, domain)).collect();
     dbsherlock_core::merge_all(models.iter()).expect("at least one training dataset")
+}
+
+/// Secondary-symptom pruning scored against ground truth (Appendix F):
+/// for each of `runs` synthetic SEM instances (seeds `seed`, `seed + 1`,
+/// …), generate predicates with `params`, prune them with the instance's
+/// rules, and count each decision the graph can judge. Returns
+/// `(tp, fp, fn, tn)`, where positive means "pruned" and actual positive
+/// means "should be pruned".
+pub fn pruning_confusion(
+    config: &SynthConfig,
+    params: &SherlockParams,
+    runs: usize,
+    seed: u64,
+) -> Result<(usize, usize, usize, usize), SherlockError> {
+    let mut counts = (0, 0, 0, 0);
+    for run in 0..runs {
+        let inst = SynthInstance::generate(config, seed.wrapping_add(run as u64));
+        let normal = inst.abnormal.complement(inst.dataset.n_rows());
+        let raw = generate_predicates(&inst.dataset, &inst.abnormal, &normal, params);
+        let kb = DomainKnowledge::new(
+            inst.rules.iter().map(|r| Rule::new(r.cause.clone(), r.effect.clone())),
+        )?;
+        let survivors = kb.prune(&inst.dataset, raw.clone(), params);
+        for generated in &raw {
+            let attr = &generated.predicate.attr;
+            let Some(should_prune) = inst.should_prune(attr) else { continue };
+            let was_pruned = !survivors.iter().any(|s| &s.predicate.attr == attr);
+            match (was_pruned, should_prune) {
+                (true, true) => counts.0 += 1,
+                (true, false) => counts.1 += 1,
+                (false, true) => counts.2 += 1,
+                (false, false) => counts.3 += 1,
+            }
+        }
+    }
+    Ok(counts)
 }
 
 /// Build one repository with exactly one model per anomaly class.

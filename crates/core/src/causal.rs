@@ -166,9 +166,21 @@ pub struct Accuracy {
 impl Accuracy {
     /// Score `predicted` against `truth` (both row-index regions).
     pub fn of_regions(predicted: &Region, truth: &Region) -> Accuracy {
-        let tp = predicted.intersect(truth).len() as f64;
-        let precision = if predicted.is_empty() { 0.0 } else { tp / predicted.len() as f64 };
-        let recall = if truth.is_empty() { 0.0 } else { tp / truth.len() as f64 };
+        let tp = predicted.intersect(truth).len();
+        Accuracy::of_counts(tp, predicted.len() - tp, truth.len() - tp)
+    }
+
+    /// Score `tp` true positives against `fp` false positives and `fn_`
+    /// false negatives.
+    pub fn of_counts(tp: usize, fp: usize, fn_: usize) -> Accuracy {
+        let ratio = |hits: usize, total: usize| {
+            if total == 0 {
+                0.0
+            } else {
+                hits as f64 / total as f64
+            }
+        };
+        let (precision, recall) = (ratio(tp, tp + fp), ratio(tp, tp + fn_));
         // `> 0.0` instead of `== 0.0`: guards the 0/0 case and maps a NaN
         // precision/recall to 0.0 rather than propagating it.
         let f1 = if precision + recall > 0.0 {

@@ -216,8 +216,7 @@ impl Sherlock {
     /// kernels of [`scalar`](crate::scalar): same degenerate-input checks,
     /// same domain pruning and λ filter, but per-cell access and no budget
     /// or parallelism. Required to be bit-identical to the columnar path
-    /// on every input — the determinism proptests and the
-    /// `columnar_scaling` benchmark diff the two.
+    /// on every input — the determinism suite diffs the two.
     #[cfg(any(test, feature = "scalar-shim"))]
     pub fn explain_scalar(
         &self,

@@ -6,7 +6,7 @@
 //! (§6, Eq. 3), and anomaly detection computes potential power and k-distances
 //! per attribute / per point (§7). This module provides the one sanctioned way
 //! to fan that work out: [`ExecPolicy`] selects a thread budget and
-//! [`par_map_indexed`] maps a function over a slice on scoped threads,
+//! [`try_par_map_indexed`] maps a function over a slice on scoped threads,
 //! collecting results *by index* so output order — and therefore every
 //! downstream sort, threshold, and tie-break — is byte-identical to the serial
 //! run. Determinism is the correctness bar, enforced by the determinism test
@@ -16,14 +16,10 @@
 //! is banned by the `disallowed-methods` list in the root `clippy.toml`;
 //! route new parallelism through here.
 //!
-//! Two mapping primitives share the same deterministic round-robin schedule:
-//!
-//! * [`par_map_indexed`] — infallible `f`; a panic in any task propagates to
-//!   the caller exactly as the serial loop would surface it.
-//! * [`try_par_map_indexed`] — fallible `f`; a panic in any task is caught at
-//!   the slot boundary and surfaced as that slot's
-//!   [`SherlockError::TaskPanicked`], so one poisoned input can never take
-//!   down the rest of a batch.
+//! One scheduler, [`try_par_map_indexed`], runs every fan-out: a panic in
+//! any task is caught at the slot boundary and surfaced as that slot's
+//! [`SherlockError::TaskPanicked`], so one poisoned input can never take
+//! down the rest of a batch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -66,62 +62,6 @@ impl std::fmt::Display for ExecPolicy {
     }
 }
 
-/// Map `f` over `items`, possibly in parallel, returning results in input
-/// order.
-///
-/// Work is dealt round-robin: thread `t` of `T` handles indices
-/// `t, t+T, t+2T, …`, each producing `(index, result)` pairs that are merged
-/// and sorted by index afterwards. Because `f` receives the index and the
-/// item — never any cross-item state — the output is identical under any
-/// [`ExecPolicy`], which the determinism suite asserts.
-///
-/// A panic in `f` on a worker thread is propagated to the caller (the same
-/// behavior as the serial loop).
-pub fn par_map_indexed<T, U, F>(policy: ExecPolicy, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = policy.resolve().min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-
-    let mut indexed: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the execution layer is the one sanctioned spawn site"
-    )]
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let f = &f;
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(tid)
-                        .step_by(threads)
-                        .map(|(i, item)| (i, f(i, item)))
-                        .collect::<Vec<(usize, U)>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Propagate worker panics to the caller, exactly as the serial
-            // loop would surface them.
-            #[allow(
-                clippy::expect_used,
-                reason = "propagates a worker panic to the caller, as the serial loop would"
-            )]
-            indexed.extend(handle.join().expect("worker thread panicked"));
-        }
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, value)| value).collect()
-}
-
 /// Render a caught panic payload as a human-readable message.
 ///
 /// `panic!("...")` carries a `&'static str` or (with formatting) a `String`;
@@ -136,14 +76,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`par_map_indexed`] for fallible tasks, with per-slot panic isolation.
+/// Map fallible `f` over `items`, possibly in parallel, with per-slot panic
+/// isolation; the one scheduler of the workspace.
+///
+/// Work is dealt round-robin: thread `t` of `T` handles indices
+/// `t, t+T, t+2T, …`, each producing `(index, result)` pairs that are merged
+/// and sorted by index afterwards. Because `f` receives the index and the
+/// item — never any cross-item state — the output is identical under any
+/// [`ExecPolicy`], which the determinism suite asserts. `Serial` runs a
+/// plain in-order loop on the calling thread.
 ///
 /// Each task runs under [`std::panic::catch_unwind`]: a panic becomes that
 /// slot's [`SherlockError::TaskPanicked`] (tagged with `stage`) instead of
-/// aborting the whole map. Results come back in input order under any
-/// [`ExecPolicy`], exactly like [`par_map_indexed`] — the serial and
-/// threaded paths share the same isolation semantics, which the determinism
-/// suite asserts.
+/// aborting the whole map. Every path returns exactly one result per item.
 pub fn try_par_map_indexed<T, U, F>(
     policy: ExecPolicy,
     stage: &'static str,
@@ -155,13 +100,13 @@ where
     U: Send,
     F: Fn(usize, &T) -> Result<U, SherlockError> + Sync,
 {
+    let panicked = |message: String| SherlockError::TaskPanicked { stage, message };
     // `f` only sees `&T` and shared captures; if a panic tears its internal
     // state mid-task, the whole slot is discarded as `TaskPanicked`, so no
     // broken invariant is ever observed afterwards.
     let guarded = |i: usize, item: &T| {
-        catch_unwind(AssertUnwindSafe(|| f(i, item))).unwrap_or_else(|payload| {
-            Err(SherlockError::TaskPanicked { stage, message: panic_message(payload.as_ref()) })
-        })
+        catch_unwind(AssertUnwindSafe(|| f(i, item)))
+            .unwrap_or_else(|payload| Err(panicked(panic_message(payload.as_ref()))))
     };
     let threads = policy.resolve().min(items.len().max(1));
     if threads <= 1 {
@@ -171,7 +116,7 @@ where
     let mut indexed: Vec<(usize, Result<U, SherlockError>)> = Vec::with_capacity(items.len());
     #[allow(
         clippy::disallowed_methods,
-        reason = "the execution layer is the one sanctioned spawn site (fallible twin)"
+        reason = "the execution layer is the one sanctioned spawn site"
     )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -188,12 +133,19 @@ where
                 })
             })
             .collect();
-        for handle in handles {
-            // Task panics are caught inside `guarded`; a join failure here
-            // would mean the scope machinery itself died, which `scope`
-            // already escalates.
-            if let Ok(chunk) = handle.join() {
-                indexed.extend(chunk);
+        for (tid, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(chunk) => indexed.extend(chunk),
+                // `guarded` catches every task panic, so a worker can only
+                // die between tasks; each of its slots then reports that.
+                Err(payload) => {
+                    let message = panic_message(payload.as_ref());
+                    indexed.extend(
+                        (tid..items.len())
+                            .step_by(threads)
+                            .map(|i| (i, Err(panicked(message.clone())))),
+                    );
+                }
             }
         }
     });
@@ -221,25 +173,25 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..101).collect();
-        let square = |i: usize, x: &u64| (i as u64) * 1000 + x * x;
-        let serial = par_map_indexed(ExecPolicy::Serial, &items, square);
+        let square = |i: usize, x: &u64| Ok((i as u64) * 1000 + x * x);
+        let serial = try_par_map_indexed(ExecPolicy::Serial, "t", &items, square);
         for threads in [2, 3, 4, 16, 200] {
-            let parallel = par_map_indexed(ExecPolicy::Threads(threads), &items, square);
+            let parallel = try_par_map_indexed(ExecPolicy::Threads(threads), "t", &items, square);
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u8> = par_map_indexed(ExecPolicy::Threads(4), &[] as &[u8], |_, x| *x);
+        let out = try_par_map_indexed(ExecPolicy::Threads(4), "t", &[] as &[u8], |_, x| Ok(*x));
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_threads_than_items() {
         let items = [1, 2, 3];
-        let out = par_map_indexed(ExecPolicy::Threads(64), &items, |_, x| x * 2);
-        assert_eq!(out, vec![2, 4, 6]);
+        let out = try_par_map_indexed(ExecPolicy::Threads(64), "t", &items, |_, x| Ok(x * 2));
+        assert_eq!(out, vec![Ok(2), Ok(4), Ok(6)]);
     }
 
     use crate::chaos::quiet_panics;
@@ -256,7 +208,7 @@ mod tests {
                 });
             assert_eq!(serial, parallel, "threads={threads}");
         }
-        let plain = par_map_indexed(ExecPolicy::Serial, &items, |i, x| (i as u64) * 100 + x);
+        let plain: Vec<u64> = items.iter().enumerate().map(|(i, x)| (i as u64) * 100 + x).collect();
         let unwrapped: Vec<u64> = serial.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(unwrapped, plain);
     }

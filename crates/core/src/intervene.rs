@@ -30,7 +30,7 @@
 //!   failed or out-of-budget trials yield `reproduced: false`, never a
 //!   missing entry.
 
-use dbsherlock_telemetry::{Dataset, Region};
+use dbsherlock_telemetry::{splitmix64, Dataset, Region};
 
 use crate::budget::DiagnosisBudget;
 use crate::causal::CausalModel;
@@ -38,6 +38,7 @@ use crate::diagnose::Explanation;
 use crate::error::SherlockError;
 use crate::exec::{try_par_map_indexed, ExecPolicy};
 use crate::params::SherlockParams;
+use crate::store::fnv1a64;
 
 /// Cause label of the throwaway symptom-signature model. Never stored in a
 /// repository; spelled so no real cause collides with it.
@@ -159,29 +160,10 @@ pub struct InterventionReport {
     pub retries: u32,
 }
 
-/// splitmix64 finalizer (the crate's standard seed-mixing primitive).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a cause name: a stable, platform-independent hash (std's
-/// `DefaultHasher` is seeded per-process, which would break seed recording).
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The seed of trial `t` in a candidate's sequence (attempt 0; retries
 /// derive further with [`attempt_seed`]).
 pub fn trial_seed(candidate_seed: u64, trial: u32) -> u64 {
-    mix64(candidate_seed.wrapping_add(trial as u64 + 1))
+    splitmix64(candidate_seed.wrapping_add(trial as u64 + 1))
 }
 
 /// The seed of retry `attempt` (0-based) of a trial: attempt 0 uses the
@@ -192,7 +174,7 @@ pub fn attempt_seed(trial_seed: u64, attempt: u32) -> u64 {
     if attempt == 0 {
         trial_seed
     } else {
-        mix64(trial_seed ^ ((attempt as u64) << 32))
+        splitmix64(trial_seed ^ ((attempt as u64) << 32))
     }
 }
 
@@ -242,7 +224,7 @@ pub fn validate_explanation(
         .iter()
         .filter(|c| runner.can_inject(&c.cause) || is_chaos_cause(&c.cause))
         .take(cfg.top_k)
-        .map(|c| (c.cause.clone(), mix64(cfg.base_seed ^ fnv64(&c.cause))))
+        .map(|c| (c.cause.clone(), splitmix64(cfg.base_seed ^ fnv1a64(&[c.cause.as_bytes()]))))
         .collect();
     report.candidates = candidates.len();
     if candidates.is_empty() {
@@ -251,7 +233,7 @@ pub fn validate_explanation(
 
     // Controls first, then each candidate's trials, flattened into one
     // fan-out so every slot gets its own panic-isolation boundary.
-    let control_seed = mix64(cfg.base_seed ^ 0x0C04_7801);
+    let control_seed = splitmix64(cfg.base_seed ^ 0x0C04_7801);
     let mut specs: Vec<TrialSpec> = (0..cfg.trials)
         .map(|t| TrialSpec { cause: None, seed: trial_seed(control_seed, t) })
         .collect();
@@ -419,7 +401,7 @@ mod tests {
         let mut d = Dataset::new(schema);
         for i in 0..80u64 {
             let abnormal = (30..45).contains(&i);
-            let wobble = (mix64(seed ^ i) % 97) as f64 / 97.0;
+            let wobble = (splitmix64(seed ^ i) % 97) as f64 / 97.0;
             let base = if abnormal && jump { 80.0 + wobble * 4.0 } else { 5.0 + wobble * 5.0 };
             d.push_row(i as f64, &[Value::Num(base), Value::Num(40.0 + wobble)]).unwrap();
         }
@@ -472,7 +454,7 @@ mod tests {
         }
 
         fn inject(&self, cause: &str, seed: u64) -> Result<TrialRun, SherlockError> {
-            self.maybe_fail(fnv64(cause))?;
+            self.maybe_fail(fnv1a64(&[cause.as_bytes()]))?;
             Ok(trial_dataset(self.reproducing.contains(&cause), seed))
         }
 

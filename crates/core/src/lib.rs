@@ -91,7 +91,7 @@ pub use detect::{detect_anomaly, potential_power, try_detect_anomaly, Detection}
 pub use diagnose::{Case, Explanation, Sherlock};
 pub use domain::{independence_factor, DomainKnowledge, Rule};
 pub use error::SherlockError;
-pub use exec::{par_map_indexed, try_par_map_indexed, ExecPolicy};
+pub use exec::{try_par_map_indexed, ExecPolicy};
 pub use generate::{
     generate_predicates, try_generate_predicates, AblationFlags, GeneratedPredicate,
 };

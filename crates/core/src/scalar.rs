@@ -7,8 +7,7 @@
 //! [`separation`](crate::separation), and [`generate`](crate::generate)
 //! hoist out of their loops. The columnar rewrite is required to be
 //! **bit-identical** to this module on valid inputs — the determinism
-//! proptests diff the two paths, and the scaling benchmark
-//! (`columnar_scaling`) uses this module as its scalar baseline.
+//! suite diffs the two paths.
 //!
 //! Compiled only for tests and under the `scalar-shim` feature; production
 //! builds carry no row-wise code.

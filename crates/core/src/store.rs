@@ -59,7 +59,7 @@ const HEADER_LEN: usize = 32;
 /// FNV-1a, 64-bit. Not cryptographic — the adversary is a power cut, not an
 /// attacker — but it catches truncation, bit rot, and header flips, and it
 /// needs no dependency.
-fn fnv1a64(chunks: &[&[u8]]) -> u64 {
+pub(crate) fn fnv1a64(chunks: &[&[u8]]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for chunk in chunks {
         for &byte in *chunk {

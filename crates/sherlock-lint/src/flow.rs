@@ -17,11 +17,11 @@
 //!    function reduced to a `(surviving_mask, gen_set)` pair. Facts only
 //!    ever turn on as the fixpoint iterates, so termination is by
 //!    monotonicity, not by an iteration cap.
-//! 3. **A workspace call-graph index** ([`FlowIndex`]) — per-function
-//!    summaries (locks acquired, callees, budget polling) keyed by name
-//!    and resolved through the `use`-import table, with one round of
-//!    reachability fixpoints so rules can ask "does anything this loop
-//!    calls poll the budget?" or "what does this callee lock?".
+//! 3. **A workspace lock and polling index** ([`FlowIndex`]) —
+//!    per-function summaries (locks acquired, budget polling) keyed by
+//!    name, with reachability fixpoints over the scan's one call graph
+//!    ([`crate::calls::CallGraph`]) so rules can ask "does anything this
+//!    loop calls poll the budget?" or "what does this callee lock?".
 //!
 //! Three rules live here — `lock-order-inversion`, `guard-across-blocking`
 //! and `swallowed-error` — and the semantic layer's `budget-blind-loop`
@@ -30,9 +30,10 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::BTreeSet;
 
-use crate::lexer::{Tok, Token};
+use crate::calls::{call_at, CallGraph};
+use crate::lexer::{ident_at, line_of, op_at, Tok, Token};
 use crate::rules::{FileClass, RuleKind};
-use crate::syntax::{Delim, FileSyntax};
+use crate::syntax::FileSyntax;
 
 /// Calls that can block the calling thread on I/O, another thread, or a
 /// timer. `Condvar::wait`/`wait_timeout` are deliberately **absent**: they
@@ -165,17 +166,6 @@ impl Builder<'_> {
         self.syn.enclosing.get(i).copied().flatten() == Some(gid)
     }
 
-    fn ident(&self, i: usize) -> Option<&str> {
-        match self.toks.get(i).map(|t| &t.kind) {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    fn op(&self, i: usize, want: &str) -> bool {
-        matches!(self.toks.get(i).map(|t| &t.kind), Some(Tok::Op(o)) if *o == want)
-    }
-
     /// Walk the interior of brace group `gid`, threading `cur` through each
     /// control construct. Returns the node control falls out of.
     fn build_block(&mut self, mut cur: usize, gid: usize) -> usize {
@@ -186,7 +176,7 @@ impl Builder<'_> {
                 i += 1;
                 continue;
             }
-            match self.ident(i) {
+            match ident_at(self.toks, i) {
                 Some("if") => cur = self.build_if(cur, gid, &mut i, close),
                 Some("match") => cur = self.build_match(cur, gid, &mut i, close),
                 Some(kw @ ("for" | "while" | "loop")) => {
@@ -210,7 +200,7 @@ impl Builder<'_> {
                     i += 1;
                 }
                 _ => {
-                    if self.op(i, "?") {
+                    if op_at(self.toks, i, "?") {
                         self.edge(cur, EXIT);
                     }
                     i += 1;
@@ -235,14 +225,14 @@ impl Builder<'_> {
         let mut k = from;
         while k < close {
             if self.at_scope(k, gid) {
-                if self.op(k, "{") {
+                if op_at(self.toks, k, "{") {
                     self.end_span(cur, k);
                     return Some(k);
                 }
-                if self.op(k, ";") || self.op(k, "}") {
+                if op_at(self.toks, k, ";") || op_at(self.toks, k, "}") {
                     return None;
                 }
-                if self.op(k, "?") {
+                if op_at(self.toks, k, "?") {
                     self.edge(cur, EXIT);
                 }
             }
@@ -272,8 +262,8 @@ impl Builder<'_> {
             self.edge(cur, arm);
             arm_ends.push(self.build_block(arm, arm_gid));
             pos = self.group_span(arm_gid).1.saturating_add(1);
-            if pos < close && self.at_scope(pos, gid) && self.ident(pos) == Some("else") {
-                if self.ident(pos + 1) == Some("if") {
+            if pos < close && self.at_scope(pos, gid) && ident_at(self.toks, pos) == Some("else") {
+                if ident_at(self.toks, pos + 1) == Some("if") {
                     pos += 2;
                     continue;
                 }
@@ -320,7 +310,7 @@ impl Builder<'_> {
         let head = self.new_node(*i);
         self.edge(cur, head);
         let brace = if bare_loop {
-            self.op(*i + 1, "{").then(|| *i + 1)
+            op_at(self.toks, *i + 1, "{").then(|| *i + 1)
         } else {
             self.advance_to_brace(head, *i + 1, close, gid)
         };
@@ -366,12 +356,12 @@ impl Builder<'_> {
         let mut arm_ends: Vec<usize> = Vec::new();
         let mut k = mopen + 1;
         while k < mclose {
-            if !(self.at_scope(k, mgid) && self.op(k, "=>")) {
+            if !(self.at_scope(k, mgid) && op_at(self.toks, k, "=>")) {
                 k += 1;
                 continue;
             }
             let next = k + 1;
-            if self.op(next, "{") && self.at_scope(next, mgid) {
+            if op_at(self.toks, next, "{") && self.at_scope(next, mgid) {
                 if let Some(agid) = self.syn.group_at_opener(next) {
                     let arm = self.new_node(next + 1);
                     self.edge(cur, arm);
@@ -386,16 +376,16 @@ impl Builder<'_> {
             let mut e = next;
             while e < mclose {
                 if self.at_scope(e, mgid) {
-                    if self.op(e, ",") {
+                    if op_at(self.toks, e, ",") {
                         break;
                     }
-                    if self.op(e, "?") || self.ident(e) == Some("return") {
+                    if op_at(self.toks, e, "?") || ident_at(self.toks, e) == Some("return") {
                         self.edge(arm, EXIT);
-                    } else if self.ident(e) == Some("break") {
+                    } else if ident_at(self.toks, e) == Some("break") {
                         if let Some(&(_, after)) = self.loops.last() {
                             self.edge(arm, after);
                         }
-                    } else if self.ident(e) == Some("continue") {
+                    } else if ident_at(self.toks, e) == Some("continue") {
                         if let Some(&(head, _)) = self.loops.last() {
                             self.edge(arm, head);
                         }
@@ -563,21 +553,6 @@ impl FileFlow {
     }
 }
 
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.kind) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn op_at(toks: &[Token], i: usize, want: &str) -> bool {
-    matches!(toks.get(i).map(|t| &t.kind), Some(Tok::Op(o)) if *o == want)
-}
-
-fn line_at(toks: &[Token], i: usize) -> u32 {
-    toks.get(i).map_or(0, |t| t.line)
-}
-
 /// Recognise a lock acquisition at token `i` and name the lock:
 /// the project-idiom free helper `lock(&self.tenants)` (poison-riding), or
 /// a plain method call `writer.lock()`. The lock identity is the last path
@@ -648,8 +623,7 @@ fn collect_guards(
             t += 1;
             continue;
         };
-        let scope = syn.enclosing.get(t).copied().flatten();
-        let let_scope = brace_scope(syn, t);
+        let let_scope = syn.brace_scope(t);
         let stmt_end = syn.statement_end(toks, t, let_scope);
         if let Some(acq) = (name_at + 2..stmt_end.min(end))
             .find_map(|k| detect_acquisition(toks, k).map(|lock| (k, lock)))
@@ -659,13 +633,13 @@ fn collect_guards(
             //    a nested block and drops at its `}`, not with `known`;
             //  * `let idle = lock(&m).is_empty() && …;` — the temporary is
             //    consumed by the chained call and drops at the `;`.
-            let at_let_scope = brace_scope(syn, acq.0) == let_scope;
+            let at_let_scope = syn.brace_scope(acq.0) == let_scope;
             if at_let_scope && !chain_consumes(toks, syn, acq.0) {
                 slots.push(GuardSlot {
                     name: name.to_string(),
                     lock: acq.1,
                     tok: acq.0,
-                    scope: brace_scope_from(syn, scope),
+                    scope: let_scope,
                 });
             }
         }
@@ -699,23 +673,6 @@ fn chain_consumes(toks: &[Token], syn: &FileSyntax, acq: usize) -> bool {
         };
     }
     false
-}
-
-/// Innermost **brace** group containing token `t` (walking out of parens
-/// and brackets), if any.
-fn brace_scope(syn: &FileSyntax, t: usize) -> Option<usize> {
-    brace_scope_from(syn, syn.enclosing.get(t).copied().flatten())
-}
-
-fn brace_scope_from(syn: &FileSyntax, mut g: Option<usize>) -> Option<usize> {
-    while let Some(id) = g {
-        let group = syn.groups.get(id)?;
-        if group.delim == Delim::Brace {
-            return Some(id);
-        }
-        g = group.parent;
-    }
-    None
 }
 
 /// Reduce each CFG node to its `(surviving_mask, gen_set)` transfer by a
@@ -765,27 +722,9 @@ fn polls_directly(
     body_open: usize,
     body_close: usize,
 ) -> bool {
-    let mut handles: BTreeSet<&str> = f
-        .params
-        .iter()
-        .filter(|(_, ty)| crate::semantic::BUDGET_TYPES.contains(&ty.as_str()))
-        .map(|(name, _)| name.as_str())
-        .collect();
-    handles.extend(
-        syn.bindings
-            .iter()
-            .filter(|b| {
-                b.tok > body_open
-                    && b.tok < body_close
-                    && crate::semantic::BUDGET_TYPES.contains(&b.ty.as_str())
-            })
-            .map(|b| b.name.as_str()),
-    );
-    if handles.is_empty() {
-        return false;
-    }
+    let handles = crate::semantic::budget_handles(syn, f, body_open, body_close);
     (body_open + 1..body_close.min(toks.len()))
-        .any(|t| ident_at(toks, t).is_some_and(|n| handles.contains(n)) && op_at(toks, t + 1, "."))
+        .any(|t| ident_at(toks, t).is_some_and(|n| handles.contains(&n)) && op_at(toks, t + 1, "."))
 }
 
 /// Replay each node's span against its dataflow in-state, recording lock,
@@ -842,7 +781,7 @@ fn record_events(
     };
     if let Some(lock) = detect_acquisition(toks, t) {
         let held: Vec<String> = live(t).into_iter().map(|(_, l)| l).collect();
-        acquires.push(LockEvent { lock, line: line_at(toks, t), held });
+        acquires.push(LockEvent { lock, line: line_of(toks, t), held });
     }
     let Some(name) = ident_at(toks, t) else { return };
     if !op_at(toks, t + 1, "(") {
@@ -855,19 +794,12 @@ fn record_events(
     {
         let guards = live(t);
         if !guards.is_empty() {
-            blocking.push(BlockEvent { call: name.to_string(), line: line_at(toks, t), guards });
+            blocking.push(BlockEvent { call: name.to_string(), line: line_of(toks, t), guards });
         }
     }
-    let lower = name.starts_with(|c: char| c.is_lowercase() || c == '_');
-    let declaration = ident_at(toks, t.wrapping_sub(1)) == Some("fn");
-    if lower && !declaration && !crate::semantic::NON_CALL_IDENTS.contains(&name) && name != "drop"
-    {
+    if let Some(callee) = call_at(toks, syn, t) {
         let held: Vec<String> = live(t).into_iter().map(|(_, l)| l).collect();
-        // A path-qualified call (`Self::step(`, `crate::x::step(`, a method
-        // re-exported through `prelude`) already names the item: running it
-        // through the import-alias map would mangle `use a as b` aliases.
-        let callee = if op_at(toks, t.wrapping_sub(1), "::") { name } else { syn.resolve(name) };
-        calls.push(CallEvent { callee: callee.to_string(), line: line_at(toks, t), held });
+        calls.push(CallEvent { callee: callee.to_string(), line: line_of(toks, t), held });
     }
 }
 
@@ -877,13 +809,11 @@ fn record_events(
 /// *reachable* acquisition set (own plus callees', one fixpoint), `polls`
 /// is reachable budget polling.
 #[derive(Debug, Clone, Default)]
-pub struct FnSummary {
+struct FnSummary {
     /// Locks acquired by this function or anything it (transitively) calls.
-    pub acquires: BTreeSet<String>,
-    /// Direct callees (resolved names).
-    pub calls: BTreeSet<String>,
+    acquires: BTreeSet<String>,
     /// Does this function (or anything it calls) poll a budget handle?
-    pub polls: bool,
+    polls: bool,
 }
 
 /// One observed lock-ordering fact: `first` was held while `second` was
@@ -902,9 +832,10 @@ pub struct OrderPair {
     pub via: Option<String>,
 }
 
-/// The workspace-wide call-graph index: function summaries plus every
-/// observed lock-ordering pair. Built once per scan (or per file for
-/// single-file scans), then handed read-only to the rules.
+/// The workspace-wide lock and polling index: function summaries,
+/// propagated over the scan's [`CallGraph`], plus every observed
+/// lock-ordering pair. Built once per scan (or per file for single-file
+/// scans), then handed read-only to the rules.
 #[derive(Debug, Default)]
 pub struct FlowIndex {
     fns: BTreeMap<String, FnSummary>,
@@ -945,24 +876,22 @@ impl FlowIndex {
                     }
                 }
             }
-            for call in &f.calls {
-                summary.calls.insert(call.callee.clone());
-                if !call.held.is_empty() {
-                    self.pending.push(PendingCall {
-                        callee: call.callee.clone(),
-                        path: path.to_string(),
-                        line: call.line,
-                        held: call.held.clone(),
-                    });
-                }
+            for call in f.calls.iter().filter(|call| !call.held.is_empty()) {
+                self.pending.push(PendingCall {
+                    callee: call.callee.clone(),
+                    path: path.to_string(),
+                    line: call.line,
+                    held: call.held.clone(),
+                });
             }
         }
     }
 
-    /// Run the reachability fixpoints (budget polling and lock acquisition
-    /// summaries, one call-graph level at a time until stable) and expand
-    /// held-across-call sites into interprocedural ordering pairs.
-    pub fn finalize(&mut self) {
+    /// Run the reachability fixpoints over `calls` (budget polling and lock
+    /// acquisition summaries, one call-graph level at a time until stable)
+    /// and expand held-across-call sites into interprocedural ordering
+    /// pairs.
+    pub fn finalize(&mut self, calls: &CallGraph) {
         // Propagate `polls` and `acquires` over the call graph.
         loop {
             let mut changed = false;
@@ -971,8 +900,8 @@ impl FlowIndex {
                 let Some(summary) = self.fns.get(name) else { continue };
                 let mut polls = summary.polls;
                 let mut acquires = summary.acquires.clone();
-                for callee in summary.calls.clone() {
-                    if let Some(cs) = self.fns.get(&callee) {
+                for (callee, _) in calls.callees(name) {
+                    if let Some(cs) = self.fns.get(callee) {
                         polls |= cs.polls;
                         acquires.extend(cs.acquires.iter().cloned());
                     }
@@ -1011,17 +940,12 @@ impl FlowIndex {
         self.finalized = true;
     }
 
-    /// Single-file convenience: analyze, add, finalize.
-    pub fn from_file(path: &str, flow: &FileFlow) -> FlowIndex {
+    /// Single-file convenience: add, finalize over that file's call graph.
+    pub fn from_file(path: &str, flow: &FileFlow, calls: &CallGraph) -> FlowIndex {
         let mut index = FlowIndex::default();
         index.add_file(path, flow);
-        index.finalize();
+        index.finalize(calls);
         index
-    }
-
-    /// Post-finalize summary lookup.
-    pub fn summary(&self, name: &str) -> Option<&FnSummary> {
-        self.fns.get(name)
     }
 
     /// Does `name` (or anything it transitively calls) poll a budget
@@ -1156,8 +1080,8 @@ fn swallowed_error(
             t += 1;
             continue;
         }
-        let scope = brace_scope(syn, t);
-        let start = stmt_start(toks, syn, t, scope);
+        let scope = syn.brace_scope(t);
+        let start = syn.statement_start(toks, t, scope);
         let end = syn.statement_end(toks, t, scope);
         if ident_at(toks, start) == Some("let")
             && ident_at(toks, start + 1) == Some("_")
@@ -1165,7 +1089,7 @@ fn swallowed_error(
         {
             emit(
                 RuleKind::SwallowedError,
-                line_at(toks, start),
+                line_of(toks, start),
                 format!(
                     "`let _ =` discards the result of `{name}`; a failed \
                      store/net write must be counted, logged, or propagated"
@@ -1186,7 +1110,7 @@ fn swallowed_error(
         }) {
             emit(
                 RuleKind::SwallowedError,
-                line_at(toks, k),
+                line_of(toks, k),
                 format!(
                     "`.ok()` swallows the error from `{name}`; a failed \
                      store/net write must be counted, logged, or propagated"
@@ -1207,23 +1131,6 @@ fn find_ok_call(toks: &[Token], start: usize, end: usize) -> Option<usize> {
     })
 }
 
-/// Start of the statement containing `t`: the token after the previous
-/// `;`, `{`, or `}` at the statement's brace scope.
-fn stmt_start(toks: &[Token], syn: &FileSyntax, t: usize, scope: Option<usize>) -> usize {
-    let lo = scope.and_then(|gid| syn.groups.get(gid)).map_or(0, |g| g.open + 1);
-    let mut start = lo;
-    for k in (lo..t).rev() {
-        if syn.enclosing.get(k).copied().flatten() != scope {
-            continue;
-        }
-        if op_at(toks, k, ";") || op_at(toks, k, "{") || op_at(toks, k, "}") {
-            start = k + 1;
-            break;
-        }
-    }
-    start
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1233,6 +1140,11 @@ mod tests {
         let lexed = lex(src);
         let syn = FileSyntax::analyze(&lexed.tokens);
         (lexed.tokens, syn)
+    }
+
+    fn index_of(toks: &[Token], syn: &FileSyntax, flow: &FileFlow) -> FlowIndex {
+        let mask = vec![false; toks.len()];
+        FlowIndex::from_file("mem.rs", flow, &CallGraph::from_file(toks, syn, &mask, &mask))
     }
 
     fn cfg_of(src: &str) -> Cfg {
@@ -1252,7 +1164,7 @@ mod tests {
         let (toks, syn) = setup(src);
         let mask = vec![false; toks.len()];
         let flow = FileFlow::analyze(&toks, &syn, &mask);
-        let index = FlowIndex::from_file("mem.rs", &flow);
+        let index = index_of(&toks, &syn, &flow);
         let mut out = Vec::new();
         scan_flow(
             "mem.rs",
@@ -1450,14 +1362,15 @@ mod tests {
     fn call_graph_resolves_renamed_imports() {
         let src = "
             use crate::util::{alpha, beta as gamma};
-            fn caller() { alpha(); gamma(); }
+            fn caller() { alpha(); gamma(); stages::gamma(); Some(1); fn inner() {} }
         ";
         let (toks, syn) = setup(src);
         let mask = vec![false; toks.len()];
-        let flow = FileFlow::analyze(&toks, &syn, &mask);
-        let index = FlowIndex::from_file("mem.rs", &flow);
-        let calls = &index.summary("caller").expect("caller summary").calls;
-        assert!(calls.contains("alpha") && calls.contains("beta"), "{calls:?}");
+        let calls = CallGraph::from_file(&toks, &syn, &mask, &mask);
+        let callees: Vec<&str> = calls.callees("caller").map(|(c, _)| c).collect();
+        // Qualified names stay literal; constructors and definitions are
+        // not calls.
+        assert_eq!(callees, ["alpha", "beta", "gamma"]);
     }
 
     #[test]
@@ -1471,7 +1384,7 @@ mod tests {
         let (toks, syn) = setup(src);
         let mask = vec![false; toks.len()];
         let flow = FileFlow::analyze(&toks, &syn, &mask);
-        let index = FlowIndex::from_file("mem.rs", &flow);
+        let index = index_of(&toks, &syn, &flow);
         assert!(index.polls_reachable("poller"));
         assert!(index.polls_reachable("middle"));
         assert!(index.polls_reachable("top"));

@@ -37,6 +37,24 @@ pub struct Token {
     pub line: u32,
 }
 
+/// The identifier at token `i`, if token `i` is one.
+pub(crate) fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
+    match toks.get(i).map(|t| &t.kind) {
+        Some(Tok::Ident(name)) => Some(name.as_str()),
+        _ => None,
+    }
+}
+
+/// Is token `i` the operator `want`?
+pub(crate) fn op_at(toks: &[Token], i: usize, want: &str) -> bool {
+    matches!(toks.get(i).map(|t| &t.kind), Some(Tok::Op(o)) if *o == want)
+}
+
+/// Line of token `i` (0 when out of range — callers pass verified indices).
+pub(crate) fn line_of(toks: &[Token], i: usize) -> u32 {
+    toks.get(i).map_or(0, |t| t.line)
+}
+
 /// Result of lexing one file.
 #[derive(Debug, Default)]
 pub struct LexOutput {

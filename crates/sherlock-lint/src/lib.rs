@@ -103,6 +103,7 @@
 //! `// sherlock-lint: allow(<rule>[, <rule>])` to acknowledge a finding in
 //! place, with the justification in the same comment.
 
+pub mod calls;
 pub mod flow;
 pub mod lexer;
 pub mod rules;

@@ -115,10 +115,10 @@ fn run(args: Args) -> Result<bool, String> {
         // Certification always runs the full rule set: a certificate
         // derived from a partial scan would assert clauses never checked.
         let config = ScanConfig::all_rules(root.clone());
-        let (findings, index) = scan_workspace_with_taint(&config)
+        let (findings, taint) = scan_workspace_with_taint(&config)
             .map_err(|e| format!("scanning {}: {e}", root.display()))?;
-        let index = index.ok_or("taint index missing from full-rule scan")?;
-        let cert = sherlock_lint::certify(&index, &findings);
+        let (index, calls) = taint.ok_or("taint index missing from full-rule scan")?;
+        let cert = sherlock_lint::certify(&index, &calls, &findings);
         let json = cert.render_json();
         let cert_path = root.join("tools").join("lint-certificate.json");
         std::fs::write(&cert_path, &json)

@@ -6,8 +6,9 @@
 
 use std::fmt;
 
+use crate::calls::CallGraph;
 use crate::flow::{FileFlow, FlowIndex};
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{ident_at, lex, op_at, Tok, Token};
 use crate::syntax::FileSyntax;
 use crate::taint::TaintIndex;
 
@@ -383,16 +384,10 @@ pub fn scan_source_indexed(
     let mut emit =
         |rule: RuleKind, line: u32, message: String| push(rule, line, message, Vec::new());
 
-    let ident = |i: usize| match toks.get(i).map(|t| &t.kind) {
-        Some(Tok::Ident(name)) => Some(name.as_str()),
-        _ => None,
-    };
-    let op =
-        |i: usize, s: &str| matches!(toks.get(i).map(|t| &t.kind), Some(Tok::Op(o)) if *o == s);
     let is_float_operand = |mut i: usize| -> bool {
         // Walk path prefixes (`f64::NAN`, `std::f64::INFINITY`): the
         // interesting segment is the last one.
-        while ident(i).is_some() && op(i + 1, "::") {
+        while ident_at(toks, i).is_some() && op_at(toks, i + 1, "::") {
             i += 2;
         }
         match toks.get(i).map(|t| &t.kind) {
@@ -429,7 +424,7 @@ pub fn scan_source_indexed(
             }
             Tok::Op(eq @ ("==" | "!=")) if !in_attr => {
                 let lhs = i.checked_sub(1).is_some_and(|p| is_float_operand_ending_at(toks, p));
-                let rhs_at = if op(i + 1, "-") { i + 2 } else { i + 1 };
+                let rhs_at = if op_at(toks, i + 1, "-") { i + 2 } else { i + 1 };
                 if lhs || is_float_operand(rhs_at) {
                     emit(
                         RuleKind::NanUnsafe,
@@ -450,7 +445,7 @@ pub fn scan_source_indexed(
                         "`partial_cmp` inside a sort comparator; use f64::total_cmp".to_string(),
                     );
                 } else if let Some(close) = matching_paren(toks, i + 1) {
-                    if op(close + 1, ".") && ident(close + 2) == Some("unwrap") {
+                    if op_at(toks, close + 1, ".") && ident_at(toks, close + 2) == Some("unwrap") {
                         emit(
                             RuleKind::NanUnsafe,
                             tok.line,
@@ -478,12 +473,17 @@ pub fn scan_source_indexed(
     let needs_flow = rules.iter().any(|r| FLOW.contains(r));
     let needs_taint = rules.iter().any(|r| TAINT.contains(r));
     let syntax = (needs_semantic || needs_flow || needs_taint).then(|| FileSyntax::analyze(toks));
+    // No workspace index supplied: fall back to file-local ones over one
+    // file-local call graph, so single-file scans (fixtures, tests) still
+    // get call-graph facts.
+    let local_calls = syntax
+        .as_ref()
+        .filter(|_| (needs_flow && index.is_none()) || (needs_taint && taint.is_none()))
+        .map(|syntax| CallGraph::from_file(toks, syntax, &test_mask, &attr_mask));
     if let Some(syntax) = syntax.as_ref().filter(|_| needs_semantic || needs_flow) {
         let flow = needs_flow.then(|| FileFlow::analyze(toks, syntax, &test_mask));
-        // No workspace index supplied: fall back to a file-local one so
-        // single-file scans (fixtures, tests) still get call-graph facts.
-        let local = match (&flow, index) {
-            (Some(f), None) => Some(FlowIndex::from_file(path, f)),
+        let local = match (&flow, index, &local_calls) {
+            (Some(f), None, Some(calls)) => Some(FlowIndex::from_file(path, f, calls)),
             _ => None,
         };
         let idx = index.or(local.as_ref());
@@ -501,8 +501,8 @@ pub fn scan_source_indexed(
     // Layer 4: taint + panic reachability. Uses the traced push path
     // directly (the other layers' findings carry no trace).
     if let Some(syntax) = syntax.as_ref().filter(|_| needs_taint) {
-        let local = taint.is_none().then(|| {
-            crate::taint::TaintIndex::from_file(path, &lexed, syntax, &test_mask, &attr_mask)
+        let local = local_calls.as_ref().filter(|_| taint.is_none()).map(|calls| {
+            TaintIndex::from_file(path, &lexed, syntax, &test_mask, &attr_mask, calls)
         });
         if let Some(idx) = taint.or(local.as_ref()) {
             crate::taint::scan_taint(

@@ -11,7 +11,8 @@
 //! (`rules::scan_source`), so allow-escapes, file allows and rule
 //! selection behave identically for both layers.
 
-use crate::lexer::{Tok, Token};
+use crate::calls::call_at;
+use crate::lexer::{ident_at, line_of, op_at, Tok, Token};
 use crate::rules::{FileClass, RuleKind};
 use crate::syntax::FileSyntax;
 
@@ -67,7 +68,7 @@ pub(crate) const REDUCERS: &[&str] = &[
 ];
 
 /// Budget/cancellation handle types a pipeline stage is expected to poll.
-pub(crate) const BUDGET_TYPES: &[&str] = &["ArmedBudget", "DiagnosisBudget", "CancelFlag"];
+const BUDGET_TYPES: &[&str] = &["ArmedBudget", "DiagnosisBudget", "CancelFlag"];
 
 /// Calls too cheap to make a loop "real work" for `budget-blind-loop`:
 /// pure collection plumbing, as in the ubiquitous result-collector loops
@@ -200,66 +201,30 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    fn ident(&self, i: usize) -> Option<&str> {
-        match self.toks.get(i).map(|t| &t.kind) {
-            Some(Tok::Ident(name)) => Some(name.as_str()),
-            _ => None,
-        }
-    }
-
-    fn op(&self, i: usize, s: &str) -> bool {
-        matches!(self.toks.get(i).map(|t| &t.kind), Some(Tok::Op(o)) if *o == s)
-    }
-
     fn in_test(&self, i: usize) -> bool {
         self.test_mask.get(i).copied().unwrap_or(false)
-    }
-
-    fn line(&self, i: usize) -> u32 {
-        self.toks.get(i).map_or(0, |t| t.line)
     }
 
     /// Is token `i` a method call `.name(` or `.name::<…>(`?
     fn is_method_call(&self, i: usize, names: &[&str]) -> bool {
         i >= 1
-            && self.op(i - 1, ".")
-            && (self.op(i + 1, "(") || (self.op(i + 1, "::") && self.op(i + 2, "<")))
-            && self.ident(i).is_some_and(|n| names.contains(&n))
-    }
-
-    /// Nearest enclosing *brace* group of token `i` — paren/bracket groups
-    /// are sub-expressions, not statement scopes.
-    fn stmt_scope(&self, i: usize) -> Option<usize> {
-        let mut scope = self.syn.enclosing.get(i).copied().flatten();
-        while let Some(id) = scope {
-            let group = self.syn.groups.get(id)?;
-            if group.delim == crate::syntax::Delim::Brace {
-                break;
-            }
-            scope = group.parent;
-        }
-        scope
+            && op_at(self.toks, i - 1, ".")
+            && (op_at(self.toks, i + 1, "(")
+                || (op_at(self.toks, i + 1, "::") && op_at(self.toks, i + 2, "<")))
+            && ident_at(self.toks, i).is_some_and(|n| names.contains(&n))
     }
 
     /// `[start, end)` token span of the statement containing `i`: bounded
     /// by `;`/`{`/`}` at the nearest brace scope (nested groups — including
     /// the call parens `i` may sit inside — stay inside the span).
     fn stmt_span(&self, i: usize) -> (usize, usize) {
-        let scope = self.stmt_scope(i);
-        let (scope_open, scope_close) = match scope.and_then(|id| self.syn.groups.get(id)) {
-            Some(group) => (group.open, group.close),
-            None => (0, self.toks.len()),
-        };
+        let scope = self.syn.brace_scope(i);
+        let scope_close =
+            scope.and_then(|id| self.syn.groups.get(id)).map_or(self.toks.len(), |g| g.close);
         let at_scope = |k: usize| self.syn.enclosing.get(k).copied().flatten() == scope;
         let boundary =
             |k: usize| matches!(self.toks.get(k).map(|t| &t.kind), Some(Tok::Op(";" | "{" | "}")));
-        let mut start = i;
-        while start > scope_open + usize::from(scope.is_some()) {
-            if at_scope(start - 1) && boundary(start - 1) {
-                break;
-            }
-            start -= 1;
-        }
+        let start = self.syn.statement_start(self.toks, i, scope);
         let mut end = i;
         while end < scope_close.min(self.toks.len()) {
             if at_scope(end) && boundary(end) {
@@ -272,7 +237,8 @@ impl Ctx<'_> {
 
     /// End of the statement scope (nearest brace group) containing `i`.
     fn scope_close(&self, i: usize) -> usize {
-        self.stmt_scope(i)
+        self.syn
+            .brace_scope(i)
             .and_then(|id| self.syn.groups.get(id))
             .map_or(self.toks.len(), |g| g.close)
     }
@@ -287,7 +253,7 @@ fn map_index(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
         if !matches!(tok.kind, Tok::Op("[")) || ctx.in_test(i) {
             continue;
         }
-        let Some(recv) = ctx.ident(i - 1) else { continue };
+        let Some(recv) = ident_at(ctx.toks, i - 1) else { continue };
         let Some(ty) = ctx.syn.receiver_type(ctx.toks, i - 1) else { continue };
         if MAP_TYPES.contains(&ty) {
             emit(
@@ -311,10 +277,10 @@ fn nondet_iteration(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) 
             if let Some(ty) = ctx.syn.receiver_type(ctx.toks, i - 2) {
                 if HASH_TYPES.contains(&ty) && !iteration_is_ordered_safe(ctx, i) {
                     let ty = ty.to_string();
-                    let head = ctx.ident(i).unwrap_or_default();
+                    let head = ident_at(ctx.toks, i).unwrap_or_default();
                     emit(
                         RuleKind::NondetIteration,
-                        ctx.line(i),
+                        line_of(ctx.toks, i),
                         format!(
                             "`.{head}()` on a `{ty}` yields arbitrary order; sort the \
                              results or use a BTreeMap/BTreeSet"
@@ -324,11 +290,11 @@ fn nondet_iteration(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) 
             }
         }
         // Bare for-loop iteration: `for x in &set`, `for (k, v) in self.map`.
-        if ctx.ident(i) == Some("for") {
+        if ident_at(ctx.toks, i) == Some("for") {
             if let Some((recv, ty)) = for_loop_hash_source(ctx, i) {
                 emit(
                     RuleKind::NondetIteration,
-                    ctx.line(i),
+                    line_of(ctx.toks, i),
                     format!(
                         "`for` over `{recv}` (a `{ty}`) visits entries in arbitrary \
                          order; iterate a sorted copy or use a BTreeMap/BTreeSet"
@@ -352,7 +318,10 @@ fn iteration_is_ordered_safe(ctx: &Ctx<'_>, i: usize) -> bool {
             return true;
         }
         // `collect::<Sink<…>>()`
-        if ctx.ident(k) == Some("collect") && ctx.op(k + 1, "::") && ctx.op(k + 2, "<") {
+        if ident_at(ctx.toks, k) == Some("collect")
+            && op_at(ctx.toks, k + 1, "::")
+            && op_at(ctx.toks, k + 2, "<")
+        {
             let sink = ctx.syn.type_head(ctx.toks, k + 3, end);
             if ORDER_FREE_SINKS.contains(&sink.as_str()) {
                 return true;
@@ -368,13 +337,13 @@ fn iteration_is_ordered_safe(ctx: &Ctx<'_>, i: usize) -> bool {
         }
     }
     // `let [mut] name [: Sink] = …` — annotation sink, or a later sort.
-    if ctx.ident(start) == Some("let") {
+    if ident_at(ctx.toks, start) == Some("let") {
         let mut n = start + 1;
-        if ctx.ident(n) == Some("mut") {
+        if ident_at(ctx.toks, n) == Some("mut") {
             n += 1;
         }
-        if let Some(name) = ctx.ident(n) {
-            if ctx.op(n + 1, ":") {
+        if let Some(name) = ident_at(ctx.toks, n) {
+            if op_at(ctx.toks, n + 1, ":") {
                 let sink = ctx.syn.type_head(ctx.toks, n + 2, end);
                 if ORDER_FREE_SINKS.contains(&sink.as_str()) {
                     return true;
@@ -382,8 +351,8 @@ fn iteration_is_ordered_safe(ctx: &Ctx<'_>, i: usize) -> bool {
             }
             // `name.sort*()` later in the same scope.
             for k in end..ctx.scope_close(i) {
-                if ctx.ident(k) == Some(name)
-                    && ctx.op(k + 1, ".")
+                if ident_at(ctx.toks, k) == Some(name)
+                    && op_at(ctx.toks, k + 1, ".")
                     && ctx.toks.get(k + 2).map(|t| &t.kind).is_some_and(
                         |kind| matches!(kind, Tok::Ident(m) if SORTERS.contains(&m.as_str())),
                     )
@@ -414,14 +383,14 @@ fn for_loop_hash_source(ctx: &Ctx<'_>, i: usize) -> Option<(String, &'static str
     }
     // Source expression: `[&][mut] ident(.ident)*` directly followed by `{`.
     let mut j = k + 1;
-    while ctx.op(j, "&") || ctx.ident(j) == Some("mut") {
+    while op_at(ctx.toks, j, "&") || ident_at(ctx.toks, j) == Some("mut") {
         j += 1;
     }
     let first = j;
     let mut last = None;
-    while ctx.ident(j).is_some() {
+    while ident_at(ctx.toks, j).is_some() {
         last = Some(j);
-        if ctx.op(j + 1, ".") && ctx.ident(j + 2).is_some() {
+        if op_at(ctx.toks, j + 1, ".") && ident_at(ctx.toks, j + 2).is_some() {
             j += 2;
         } else {
             j += 1;
@@ -429,16 +398,31 @@ fn for_loop_hash_source(ctx: &Ctx<'_>, i: usize) -> Option<(String, &'static str
         }
     }
     let last = last?;
-    if !ctx.op(j, "{") {
+    if !op_at(ctx.toks, j, "{") {
         return None; // method calls / ranges / richer expressions
     }
     let ty = ctx.syn.receiver_type(ctx.toks, last)?;
     let ty = HASH_TYPES.iter().find(|t| **t == ty)?;
-    let place: Vec<&str> = (first..=last).filter_map(|t| ctx.ident(t)).collect();
+    let place: Vec<&str> = (first..=last).filter_map(|t| ident_at(ctx.toks, t)).collect();
     Some((place.join("."), ty))
 }
 
 // ----- budget-blind-loop ------------------------------------------------
+
+/// The handles fn `f` is expected to poll: its budget-typed parameters,
+/// then the budget-typed local bindings inside its body.
+pub(crate) fn budget_handles<'a>(
+    syn: &'a FileSyntax,
+    f: &'a crate::syntax::FnInfo,
+    body_open: usize,
+    body_close: usize,
+) -> Vec<&'a str> {
+    let params = f.params.iter().filter(|(_, ty)| BUDGET_TYPES.contains(&ty.as_str()));
+    let locals = syn.bindings.iter().filter(|b| {
+        b.tok > body_open && b.tok < body_close && BUDGET_TYPES.contains(&b.ty.as_str())
+    });
+    params.map(|(name, _)| name.as_str()).chain(locals.map(|b| b.name.as_str())).collect()
+}
 
 fn budget_blind_loop(
     ctx: &Ctx<'_>,
@@ -447,23 +431,7 @@ fn budget_blind_loop(
 ) {
     for f in &ctx.syn.fns {
         let Some((body_open, body_close)) = f.body else { continue };
-        // Handles this stage is expected to poll: budget-typed parameters
-        // plus budget-typed local bindings inside the body.
-        let mut handles: Vec<&str> = f
-            .params
-            .iter()
-            .filter(|(_, ty)| BUDGET_TYPES.contains(&ty.as_str()))
-            .map(|(name, _)| name.as_str())
-            .collect();
-        handles.extend(
-            ctx.syn
-                .bindings
-                .iter()
-                .filter(|b| {
-                    b.tok > body_open && b.tok < body_close && BUDGET_TYPES.contains(&b.ty.as_str())
-                })
-                .map(|b| b.name.as_str()),
-        );
+        let handles = budget_handles(ctx.syn, f, body_open, body_close);
         if handles.is_empty() {
             continue;
         }
@@ -471,15 +439,17 @@ fn budget_blind_loop(
             if ctx.in_test(i) {
                 continue;
             }
-            let Some(kw @ ("for" | "while" | "loop")) = ctx.ident(i) else { continue };
+            let Some(kw @ ("for" | "while" | "loop")) = ident_at(ctx.toks, i) else { continue };
             let Some((lb_open, lb_close)) = loop_body(ctx, i, kw) else { continue };
             let body = lb_open + 1..lb_close.min(ctx.toks.len());
             // A *direct* poll is a method call on the handle (`budget.check(…)`,
             // `!cancel.is_set()`) — in the loop body or its header. Merely
             // passing the handle along as an argument no longer counts; what
             // it is passed *to* is judged by the call-graph check below.
-            let polls = (i + 1..lb_close.min(ctx.toks.len()))
-                .any(|k| ctx.ident(k).is_some_and(|n| handles.contains(&n)) && ctx.op(k + 1, "."));
+            let polls = (i + 1..lb_close.min(ctx.toks.len())).any(|k| {
+                ident_at(ctx.toks, k).is_some_and(|n| handles.contains(&n))
+                    && op_at(ctx.toks, k + 1, ".")
+            });
             if polls {
                 continue;
             }
@@ -487,35 +457,20 @@ fn budget_blind_loop(
             // (transitively, via the flow index's reachability fixpoint)
             // polls a budget handle.
             let delegates = index.is_some_and(|idx| {
-                body.clone().any(|k| {
-                    ctx.op(k + 1, "(")
-                        && ctx.ident(k).is_some_and(|n| {
-                            // Path-qualified callees keep their literal name
-                            // (the alias map only governs bare imports).
-                            let callee = if ctx.op(k.wrapping_sub(1), "::") {
-                                n
-                            } else {
-                                ctx.syn.resolve(n)
-                            };
-                            !NON_CALL_IDENTS.contains(&n) && idx.polls_reachable(callee)
-                        })
-                })
+                body.clone()
+                    .any(|k| call_at(ctx.toks, ctx.syn, k).is_some_and(|c| idx.polls_reachable(c)))
             });
             if delegates {
                 continue;
             }
             let works = body.clone().any(|k| {
-                ctx.op(k + 1, "(")
-                    && ctx.ident(k).is_some_and(|n| {
-                        !TRIVIAL_CALLS.contains(&n)
-                            && !NON_CALL_IDENTS.contains(&n)
-                            && !n.starts_with(|c: char| c.is_uppercase())
-                    })
+                call_at(ctx.toks, ctx.syn, k).is_some()
+                    && ident_at(ctx.toks, k).is_some_and(|n| !TRIVIAL_CALLS.contains(&n))
             });
             if works {
                 emit(
                     RuleKind::BudgetBlindLoop,
-                    ctx.line(i),
+                    line_of(ctx.toks, i),
                     format!(
                         "`{kw}` loop in a budget-carrying stage never polls `{}`; \
                          check the budget (or CancelFlag) each iteration so \
@@ -534,7 +489,7 @@ fn budget_blind_loop(
 fn loop_body(ctx: &Ctx<'_>, i: usize, kw: &str) -> Option<(usize, usize)> {
     let scope = ctx.syn.enclosing.get(i).copied().flatten();
     if kw == "loop" {
-        if !ctx.op(i + 1, "{") {
+        if !op_at(ctx.toks, i + 1, "{") {
             return None;
         }
         return group_span(ctx, i + 1);
@@ -564,7 +519,7 @@ fn unbounded_channel(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String))
     // span contains it.
     let mut loops: Vec<(usize, usize)> = Vec::new();
     for i in 0..ctx.toks.len() {
-        if let Some(kw @ ("for" | "while" | "loop")) = ctx.ident(i) {
+        if let Some(kw @ ("for" | "while" | "loop")) = ident_at(ctx.toks, i) {
             if let Some(span) = loop_body(ctx, i, kw) {
                 loops.push(span);
             }
@@ -577,7 +532,7 @@ fn unbounded_channel(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String))
         if !loops.iter().any(|&(open, close)| i > open && i < close) {
             continue;
         }
-        let Some(recv) = ctx.ident(i - 2) else { continue };
+        let Some(recv) = ident_at(ctx.toks, i - 2) else { continue };
         let Some(ty) = ctx.syn.receiver_type(ctx.toks, i - 2) else { continue };
         if !GROWABLE_TYPES.contains(&ty) {
             continue;
@@ -586,7 +541,7 @@ fn unbounded_channel(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String))
         // may legitimately drain in a sibling method of the same type, so
         // fields are checked file-wide; a local binding must be bounded
         // inside its own function.
-        let field = i >= 4 && ctx.op(i - 3, ".");
+        let field = i >= 4 && op_at(ctx.toks, i - 3, ".");
         let (start, end) = if field {
             (0, ctx.toks.len())
         } else {
@@ -597,17 +552,17 @@ fn unbounded_channel(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String))
         };
         let bounded = (start..end).any(|k| {
             k != i - 2
-                && ctx.ident(k) == Some(recv)
-                && ctx.op(k + 1, ".")
+                && ident_at(ctx.toks, k) == Some(recv)
+                && op_at(ctx.toks, k + 1, ".")
                 && ctx.toks.get(k + 2).map(|t| &t.kind).is_some_and(
                     |kind| matches!(kind, Tok::Ident(m) if BOUNDERS.contains(&m.as_str())),
                 )
         });
         if !bounded {
-            let grower = ctx.ident(i).unwrap_or_default();
+            let grower = ident_at(ctx.toks, i).unwrap_or_default();
             emit(
                 RuleKind::UnboundedChannel,
-                ctx.line(i),
+                line_of(ctx.toks, i),
                 format!(
                     "`{recv}.{grower}` grows a `{ty}` every loop iteration with no \
                      capacity check on `{recv}`; daemon buffers fed by clients must \
@@ -626,7 +581,7 @@ fn unbounded_retry(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
             continue;
         }
         // Only `loop` and `while`: a `for` loop is bounded by its iterator.
-        let Some(kw @ ("while" | "loop")) = ctx.ident(i) else { continue };
+        let Some(kw @ ("while" | "loop")) = ident_at(ctx.toks, i) else { continue };
         // `while` heads a condition before its body; skip `.loop(` /
         // `while`-as-ident false positives by requiring a recognisable body.
         let Some((open, close)) = loop_body(ctx, i, kw) else { continue };
@@ -637,13 +592,13 @@ fn unbounded_retry(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
             // The sleep must be *inside the body*: a sleep in the
             // condition is not this pattern.
             (k > open
-                && ctx.ident(k).is_some_and(|n| RETRY_SLEEPS.contains(&n))
-                && ctx.op(k + 1, "("))
-            .then(|| ctx.line(k))
+                && ident_at(ctx.toks, k).is_some_and(|n| RETRY_SLEEPS.contains(&n))
+                && op_at(ctx.toks, k + 1, "("))
+            .then(|| line_of(ctx.toks, k))
         });
         let Some(line) = sleep_line else { continue };
         let guarded = span.clone().any(|k| {
-            ctx.ident(k).is_some_and(|n| {
+            ident_at(ctx.toks, k).is_some_and(|n| {
                 let lower = n.to_ascii_lowercase();
                 RETRY_GUARDS.iter().any(|g| lower.contains(g))
             })
@@ -669,20 +624,21 @@ fn unsynced_store_write(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, Strin
         if ctx.in_test(i) {
             continue;
         }
-        let Some(name) = ctx.ident(i) else { continue };
-        if !ctx.op(i + 1, "(") {
+        let Some(name) = ident_at(ctx.toks, i) else { continue };
+        if !op_at(ctx.toks, i + 1, "(") {
             continue;
         }
-        let qualified_by =
-            |module: &str| i >= 2 && ctx.op(i - 1, "::") && ctx.ident(i - 2) == Some(module);
+        let qualified_by = |module: &str| {
+            i >= 2 && op_at(ctx.toks, i - 1, "::") && ident_at(ctx.toks, i - 2) == Some(module)
+        };
         // `fs::write(…)` & friends, or the bare import from std::fs.
         if FS_MUTATORS.contains(&name) {
-            let bare_import =
-                !ctx.op(i.wrapping_sub(1), "::") && ctx.syn.resolves_into(name, &["std", "fs"]);
+            let bare_import = !op_at(ctx.toks, i.wrapping_sub(1), "::")
+                && ctx.syn.resolves_into(name, &["std", "fs"]);
             if qualified_by("fs") || bare_import {
                 emit(
                     RuleKind::UnsyncedStoreWrite,
-                    ctx.line(i),
+                    line_of(ctx.toks, i),
                     format!(
                         "`fs::{name}` mutates the filesystem outside the store module; \
                          a crash mid-operation tears the artifact — persist through \
@@ -695,12 +651,14 @@ fn unsynced_store_write(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, Strin
         // `File::create(…)` — creation truncates.
         if name == "create" && qualified_by("File") {
             let is_fs_file = ctx.syn.resolves_into("File", &["std", "fs"])
-                || (i >= 4 && ctx.op(i - 3, "::") && ctx.ident(i - 4) == Some("fs"))
+                || (i >= 4
+                    && op_at(ctx.toks, i - 3, "::")
+                    && ident_at(ctx.toks, i - 4) == Some("fs"))
                 || !ctx.syn.imports.contains_key("File");
             if is_fs_file {
                 emit(
                     RuleKind::UnsyncedStoreWrite,
-                    ctx.line(i),
+                    line_of(ctx.toks, i),
                     "`File::create` truncates in place outside the store module; \
                      persist through dbsherlock_core::store::ModelStore"
                         .to_string(),
@@ -718,7 +676,7 @@ fn unsynced_store_write(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, Strin
             if writable {
                 emit(
                     RuleKind::UnsyncedStoreWrite,
-                    ctx.line(i),
+                    line_of(ctx.toks, i),
                     "writable `OpenOptions` outside the store module; persist through \
                      dbsherlock_core::store::ModelStore"
                         .to_string(),

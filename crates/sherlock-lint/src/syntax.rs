@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 
-use crate::lexer::{Tok, Token};
+use crate::lexer::{ident_at, op_at, Tok, Token};
 
 /// Delimiter kind of a [`Group`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +255,7 @@ impl FileSyntax {
     fn collect_imports(&mut self, tokens: &[Token]) {
         let mut i = 0;
         while i < tokens.len() {
-            if matches!(tokens.get(i).map(|t| &t.kind), Some(Tok::Ident(name)) if name == "use") {
+            if ident_at(tokens, i) == Some("use") {
                 i = self.parse_use_tree(tokens, i + 1, &[]);
             } else {
                 i += 1;
@@ -562,7 +562,7 @@ impl FileSyntax {
                 continue;
             }
             let mut j = i + 1;
-            if matches!(tokens.get(j).map(|t| &t.kind), Some(Tok::Ident(k)) if k == "mut") {
+            if ident_at(tokens, j) == Some("mut") {
                 j += 1;
             }
             let Some(Tok::Ident(name)) = tokens.get(j).map(|t| &t.kind) else { continue };
@@ -583,6 +583,33 @@ impl FileSyntax {
         }
     }
 
+    /// Innermost **brace** group containing token `i` — paren and bracket
+    /// groups are sub-expressions, not statement scopes.
+    pub fn brace_scope(&self, i: usize) -> Option<usize> {
+        let mut scope = self.enclosing.get(i).copied().flatten();
+        while let Some(id) = scope {
+            let group = self.groups.get(id)?;
+            if group.delim == Delim::Brace {
+                break;
+            }
+            scope = group.parent;
+        }
+        scope
+    }
+
+    /// Start of the statement containing `t`: the token after the previous
+    /// `;`, `{`, or `}` at the statement's brace scope.
+    pub fn statement_start(&self, tokens: &[Token], t: usize, scope: Option<usize>) -> usize {
+        let lo = scope.and_then(|gid| self.groups.get(gid)).map_or(0, |g| g.open + 1);
+        (lo..t)
+            .rev()
+            .find(|&k| {
+                self.enclosing.get(k).copied().flatten() == scope
+                    && (op_at(tokens, k, ";") || op_at(tokens, k, "{") || op_at(tokens, k, "}"))
+            })
+            .map_or(lo, |k| k + 1)
+    }
+
     /// Index of the `;` ending the statement containing `from` (searching
     /// at `scope` level only), or the end of the scope.
     pub fn statement_end(&self, tokens: &[Token], from: usize, scope: Option<usize>) -> usize {
@@ -599,10 +626,8 @@ impl FileSyntax {
         scope: Option<usize>,
         op: &str,
     ) -> Option<usize> {
-        (from..end.min(tokens.len())).find(|&k| {
-            matches!(tokens.get(k).map(|t| &t.kind), Some(Tok::Op(o)) if *o == op)
-                && self.enclosing.get(k).copied().flatten() == scope
-        })
+        (from..end.min(tokens.len()))
+            .find(|&k| op_at(tokens, k, op) && self.enclosing.get(k).copied().flatten() == scope)
     }
 
     /// Best-effort type head of an expression: constructor paths
@@ -642,22 +667,18 @@ impl FileSyntax {
         }
         // collect::<Type<…>>() anywhere in the expression.
         for k in from..end.min(tokens.len()) {
-            if matches!(tokens.get(k).map(|t| &t.kind), Some(Tok::Ident(id)) if id == "collect")
-                && matches!(tokens.get(k + 1).map(|t| &t.kind), Some(Tok::Op("::")))
-                && matches!(tokens.get(k + 2).map(|t| &t.kind), Some(Tok::Op("<")))
+            if ident_at(tokens, k) == Some("collect")
+                && op_at(tokens, k + 1, "::")
+                && op_at(tokens, k + 2, "<")
             {
                 return self.type_head(tokens, k + 3, end);
             }
         }
         // `x.clone()` / `self.field.clone()`: the receiver's type.
-        if matches!(tokens.get(from).map(|t| &t.kind), Some(Tok::Ident(_))) {
+        if ident_at(tokens, from).is_some() {
             let mut k = from;
-            while k + 2 < end
-                && matches!(tokens.get(k + 1).map(|t| &t.kind), Some(Tok::Op(".")))
-                && matches!(tokens.get(k + 2).map(|t| &t.kind), Some(Tok::Ident(_)))
-            {
-                if matches!(tokens.get(k + 2).map(|t| &t.kind), Some(Tok::Ident(m)) if m == "clone")
-                {
+            while k + 2 < end && op_at(tokens, k + 1, ".") && ident_at(tokens, k + 2).is_some() {
+                if ident_at(tokens, k + 2) == Some("clone") {
                     return self.receiver_type(tokens, k).unwrap_or_default().to_string();
                 }
                 k += 2;
@@ -692,7 +713,7 @@ impl FileSyntax {
     /// binding if one is visible, else a struct field of this file (for
     /// `self.field` / `other.field` receivers).
     pub fn receiver_type(&self, tokens: &[Token], i: usize) -> Option<&str> {
-        let Tok::Ident(name) = &tokens.get(i)?.kind else { return None };
+        let name = ident_at(tokens, i)?;
         // `self` / `Self` never name a container directly.
         if name == "self" || name == "Self" {
             return None;
@@ -703,9 +724,9 @@ impl FileSyntax {
             .checked_sub(1)
             .is_some_and(|p| matches!(tokens.get(p).map(|t| &t.kind), Some(Tok::Op("."))));
         if after_dot {
-            return self.fields.get(name.as_str()).map(String::as_str);
+            return self.fields.get(name).map(String::as_str);
         }
-        self.binding_type(name, i).or_else(|| self.fields.get(name.as_str()).map(String::as_str))
+        self.binding_type(name, i).or_else(|| self.fields.get(name).map(String::as_str))
     }
 
     /// The innermost recognised function whose body contains `tok`.

@@ -18,22 +18,18 @@
 //! The analysis reuses the flow layer's machinery: intra-function taint
 //! rides the CFG + bitset dataflow engine ([`crate::flow::build_cfg`],
 //! [`crate::flow::dataflow_in`]); interprocedural facts are monotone
-//! fixed-point summaries over the same bare-name call graph the
-//! [`crate::flow::FlowIndex`] uses. Both directions over-approximate:
-//! names merge across impls, closures passed as values are invisible as
-//! edges, and a call site inside an isolation wrapper's argument list is
-//! treated as isolated whether it runs inside the `catch_unwind` closure
-//! or while building its arguments. See DESIGN §15 for the soundness
-//! caveats.
+//! fixed-point summaries over the scan's one call graph
+//! ([`crate::calls::CallGraph`]), which the [`crate::flow::FlowIndex`]
+//! reads too. Both directions over-approximate (see the call graph's
+//! caveats and DESIGN §15).
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::calls::{call_at, isolation_spans, CallGraph};
 use crate::flow::{build_cfg, dataflow_in, MAX_SLOTS};
-use crate::lexer::{LexOutput, Tok, Token};
+use crate::lexer::{ident_at, line_of, op_at, LexOutput, Tok, Token};
 use crate::rules::{FileClass, RuleKind, TraceKind, TraceStep, KEYWORDS};
-use crate::semantic::{
-    HASH_TYPES, ITER_HEADS, NON_CALL_IDENTS, ORDER_FREE_SINKS, REDUCERS, SORTERS,
-};
+use crate::semantic::{HASH_TYPES, ITER_HEADS, ORDER_FREE_SINKS, REDUCERS, SORTERS};
 use crate::syntax::FileSyntax;
 
 // ----- the lattice ------------------------------------------------------
@@ -128,12 +124,6 @@ const SINK_TYPES: &[&str] = &["Explanation", "Response"];
 /// JSON report writers.
 const SINK_CALLS: &[&str] = &["save", "save_with_backoff", "write_json", "write_report"];
 
-/// Calls whose argument span isolates panics: everything lexically inside
-/// their parens converts a panic into an `Err`/`None` instead of
-/// unwinding further. `par_map_indexed` is deliberately absent — it
-/// *propagates* worker panics.
-const ISOLATION_WRAPPERS: &[&str] = &["catch_unwind", "try_par_map_indexed", "quiet_panics"];
-
 /// The certified entry points (bare fn names, workspace-wide): the public
 /// explain/diagnose surface plus the sherlockd ingest loop. A missing
 /// name fails certification — renaming an entry must be a loud event.
@@ -148,56 +138,9 @@ pub const ENTRY_POINTS: &[&str] = &[
 
 // ----- token helpers ----------------------------------------------------
 
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.kind) {
-        Some(Tok::Ident(name)) => Some(name.as_str()),
-        _ => None,
-    }
-}
-
-fn op_at(toks: &[Token], i: usize, want: &str) -> bool {
-    matches!(toks.get(i).map(|t| &t.kind), Some(Tok::Op(o)) if *o == want)
-}
-
-/// Line of token `i` (0 when out of range — callers pass verified indices).
-fn line_of(toks: &[Token], i: usize) -> u32 {
-    toks.get(i).map_or(0, |t| t.line)
-}
-
 /// `(open, close)` token span of delimiter group `id`.
 fn group_bounds(syn: &FileSyntax, id: usize) -> Option<(usize, usize)> {
     syn.groups.get(id).map(|g| (g.open, g.close))
-}
-
-/// Resolve a callee name: `a::b::name(` keeps the literal name (the path
-/// already picked the item — running it through the import-alias map
-/// would misresolve `use x as y` aliases), a bare `name(` goes through
-/// the file's import aliases.
-fn resolve_callee<'a>(toks: &[Token], syn: &'a FileSyntax, i: usize, name: &'a str) -> &'a str {
-    if i >= 1 && op_at(toks, i - 1, "::") {
-        name
-    } else {
-        syn.resolve(name)
-    }
-}
-
-/// Is the ident at `i` a call head (`name(` not preceded by `fn`/`.`-less
-/// non-call)? Returns the resolved callee name.
-fn call_at<'a>(toks: &'a [Token], syn: &'a FileSyntax, i: usize) -> Option<&'a str> {
-    let name = ident_at(toks, i)?;
-    if !op_at(toks, i + 1, "(") {
-        return None;
-    }
-    if !name.starts_with(|c: char| c.is_lowercase() || c == '_') {
-        return None; // tuple-struct / enum-variant construction
-    }
-    if NON_CALL_IDENTS.contains(&name) || KEYWORDS.contains(&name) {
-        return None;
-    }
-    if i >= 1 && ident_at(toks, i - 1) == Some("fn") {
-        return None; // a definition, not a call
-    }
-    Some(resolve_callee(toks, syn, i, name))
 }
 
 // ----- site detection ---------------------------------------------------
@@ -418,13 +361,6 @@ struct FnNode {
     /// Kinds a sanitizer clears somewhere in the body (coarse: clearing
     /// anywhere is assumed to cover the returned value).
     sanitized: TaintSet,
-    /// Every resolved callee.
-    calls: BTreeSet<String>,
-    /// Callees with at least one call site outside all isolation spans.
-    un_calls: BTreeSet<String>,
-    /// Callees that receive one of this fn's parameters as an argument
-    /// (the edge along which caller taint can reach a callee's sink).
-    param_forwards: BTreeSet<String>,
     /// A parameter flows directly into a local serialization sink.
     has_param_sink: bool,
     /// Unisolated local panic sites.
@@ -443,9 +379,9 @@ pub struct Exposure {
     pub chain: Vec<String>,
 }
 
-/// Workspace-wide taint facts: per-function summaries plus the two
-/// fixed-points (may-return taint, sink reachability) and the panic
-/// exposure map.
+/// Workspace-wide taint facts: per-function summaries plus, over the call
+/// graph, the two fixed-points (may-return taint, sink reachability) and
+/// the panic exposure map.
 #[derive(Debug, Default)]
 pub struct TaintIndex {
     fns: BTreeMap<String, FnNode>,
@@ -508,24 +444,6 @@ impl TaintIndex {
                 if let Some((kind, _)) = sanitizer_at(toks, syn, i) {
                     node.sanitized |= kind;
                 }
-                if let Some(callee) = call_at(toks, syn, i) {
-                    node.calls.insert(callee.to_string());
-                    if !in_iso(i) {
-                        node.un_calls.insert(callee.to_string());
-                    }
-                    // Does a parameter ride along as an argument?
-                    if let Some((o, c)) =
-                        syn.group_at_opener(i + 1).and_then(|id| group_bounds(syn, id))
-                    {
-                        let forwards = (o + 1..c.min(toks.len())).any(|k| {
-                            !op_at(toks, k.wrapping_sub(1), ".")
-                                && ident_at(toks, k).is_some_and(|n| params.contains(&n))
-                        });
-                        if forwards {
-                            node.param_forwards.insert(callee.to_string());
-                        }
-                    }
-                }
                 if let Some((o, c, _)) = sink_at(toks, syn, i) {
                     let direct = (o + 1..c.min(toks.len())).any(|k| {
                         !op_at(toks, k.wrapping_sub(1), ".")
@@ -548,10 +466,10 @@ impl TaintIndex {
         self.finalized = false;
     }
 
-    /// Run the two interprocedural fixed points and the entry-point BFS.
-    /// Both fixed points are monotone over finite lattices (a u8 bitset
-    /// per fn; a growing set of fn names), so they terminate.
-    pub fn finalize(&mut self) {
+    /// Run the two interprocedural fixed points and the entry-point BFSs
+    /// over `calls`. Both fixed points are monotone over finite lattices (a
+    /// u8 bitset per fn; a growing set of fn names), so they terminate.
+    pub fn finalize(&mut self, calls: &CallGraph) {
         // May-return taint: what a call to `f` can hand back, after the
         // fn's own sanitizers.
         self.returns =
@@ -560,7 +478,7 @@ impl TaintIndex {
             let mut changed = false;
             for (name, node) in &self.fns {
                 let mut set = node.sources;
-                for callee in &node.calls {
+                for (callee, _) in calls.callees(name) {
                     set |= self.returns.get(callee).copied().unwrap_or(0);
                 }
                 set &= !node.sanitized;
@@ -583,9 +501,11 @@ impl TaintIndex {
             let grown: Vec<String> = self
                 .fns
                 .iter()
-                .filter(|(n, f)| {
+                .filter(|(n, _)| {
                     !self.sink_reach.contains(*n)
-                        && f.param_forwards.iter().any(|c| self.sink_reach.contains(c))
+                        && calls
+                            .callees(n)
+                            .any(|(c, edge)| edge.forwards_param && self.sink_reach.contains(c))
                 })
                 .map(|(n, _)| n.clone())
                 .collect();
@@ -612,13 +532,14 @@ impl TaintIndex {
                     name.clone(),
                     Exposure { entry: entry.to_string(), chain: chain.clone() },
                 );
-                if let Some(node) = self.fns.get(&name) {
-                    for callee in &node.un_calls {
-                        if !self.exposed.contains_key(callee) && self.fns.contains_key(callee) {
-                            let mut next = chain.clone();
-                            next.push(callee.clone());
-                            queue.push_back(next);
-                        }
+                for (callee, edge) in calls.callees(&name) {
+                    if edge.unisolated
+                        && !self.exposed.contains_key(callee)
+                        && self.fns.contains_key(callee)
+                    {
+                        let mut next = chain.clone();
+                        next.push(callee.to_string());
+                        queue.push_back(next);
                     }
                 }
             }
@@ -626,17 +547,19 @@ impl TaintIndex {
         self.finalized = true;
     }
 
-    /// File-local index for single-file scans (fixtures, tests).
+    /// File-local index for single-file scans (fixtures, tests), over that
+    /// file's call graph.
     pub fn from_file(
         path: &str,
         lexed: &LexOutput,
         syn: &FileSyntax,
         test_mask: &[bool],
         attr_mask: &[bool],
+        calls: &CallGraph,
     ) -> TaintIndex {
         let mut index = TaintIndex::default();
         index.add_file(path, lexed, syn, test_mask, attr_mask);
-        index.finalize();
+        index.finalize(calls);
         index
     }
 
@@ -660,23 +583,6 @@ impl TaintIndex {
     fn decl(&self, name: &str) -> Option<(&str, u32)> {
         self.fns.get(name).map(|f| (f.path.as_str(), f.line))
     }
-}
-
-/// Paren-group spans of isolation-wrapper calls in `[body_open, body_close]`.
-fn isolation_spans(toks: &[Token], body_open: usize, body_close: usize) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut i = body_open;
-    while i < body_close.min(toks.len()) {
-        if let Some(name) = ident_at(toks, i) {
-            if ISOLATION_WRAPPERS.contains(&name) && op_at(toks, i + 1, "(") {
-                if let Some(close) = crate::rules::matching_paren(toks, i + 1) {
-                    spans.push((i + 1, close));
-                }
-            }
-        }
-        i += 1;
-    }
-    spans
 }
 
 // ----- the per-file scan ------------------------------------------------
@@ -1069,9 +975,13 @@ pub struct Certificate {
     pub certified: bool,
 }
 
-/// Evaluate the certificate against a finalized index and the workspace
-/// findings (post allow-filtering).
-pub fn certify(index: &TaintIndex, findings: &[crate::rules::Finding]) -> Certificate {
+/// Evaluate the certificate against a finalized index, the call graph it
+/// was finalized over, and the workspace findings (post allow-filtering).
+pub fn certify(
+    index: &TaintIndex,
+    calls: &CallGraph,
+    findings: &[crate::rules::Finding],
+) -> Certificate {
     let taint_findings = findings.iter().filter(|f| f.rule == RuleKind::TaintDeterminism).count();
     let panic_findings = findings.iter().filter(|f| f.rule == RuleKind::UnisolatedPanic).count();
     let mut entries = BTreeMap::new();
@@ -1082,9 +992,9 @@ pub fn certify(index: &TaintIndex, findings: &[crate::rules::Finding]) -> Certif
             report.present = true;
             // Reachability over all edges (for determinism + isolated
             // counts)…
-            let all = bfs(index, entry, false);
+            let all = bfs(&index.fns, calls, entry, false);
             // …and over unisolated edges only.
-            let un = bfs(index, entry, true);
+            let un = bfs(&index.fns, calls, entry, true);
             report.reachable_fns = all.len();
             for name in &all {
                 let Some(node) = index.fns.get(name) else { continue };
@@ -1112,9 +1022,15 @@ pub fn certify(index: &TaintIndex, findings: &[crate::rules::Finding]) -> Certif
     Certificate { entries, taint_findings, panic_findings, certified }
 }
 
-/// Deterministic BFS over the call graph from `entry`; `unisolated_only`
-/// restricts traversal to edges outside isolation spans.
-fn bfs(index: &TaintIndex, entry: &str, unisolated_only: bool) -> BTreeSet<String> {
+/// Deterministic BFS over the call graph from `entry` through the fns the
+/// index knows; `unisolated_only` restricts traversal to edges outside
+/// isolation spans.
+fn bfs(
+    fns: &BTreeMap<String, FnNode>,
+    calls: &CallGraph,
+    entry: &str,
+    unisolated_only: bool,
+) -> BTreeSet<String> {
     let mut seen = BTreeSet::new();
     let mut queue = std::collections::VecDeque::new();
     queue.push_back(entry.to_string());
@@ -1122,12 +1038,12 @@ fn bfs(index: &TaintIndex, entry: &str, unisolated_only: bool) -> BTreeSet<Strin
         if !seen.insert(name.clone()) {
             continue;
         }
-        if let Some(node) = index.fns.get(&name) {
-            let edges = if unisolated_only { &node.un_calls } else { &node.calls };
-            for callee in edges {
-                if !seen.contains(callee) && index.fns.contains_key(callee) {
-                    queue.push_back(callee.clone());
-                }
+        for (callee, edge) in calls.callees(&name) {
+            if (edge.unisolated || !unisolated_only)
+                && !seen.contains(callee)
+                && fns.contains_key(callee)
+            {
+                queue.push_back(callee.to_string());
             }
         }
     }
@@ -1184,8 +1100,15 @@ mod tests {
 
     fn findings_of(src: &str) -> Vec<(RuleKind, u32, String)> {
         let (lexed, syn, test_mask, attr_mask) = setup(src);
-        let index =
-            TaintIndex::from_file("crates/core/src/x.rs", &lexed, &syn, &test_mask, &attr_mask);
+        let calls = CallGraph::from_file(&lexed.tokens, &syn, &test_mask, &attr_mask);
+        let index = TaintIndex::from_file(
+            "crates/core/src/x.rs",
+            &lexed,
+            &syn,
+            &test_mask,
+            &attr_mask,
+            &calls,
+        );
         let mut got = Vec::new();
         scan_taint(
             "crates/core/src/x.rs",
@@ -1340,9 +1263,16 @@ mod tests {
              x.unwrap();\n\
              }\n",
         );
-        let index =
-            TaintIndex::from_file("crates/core/src/d.rs", &lexed, &syn, &test_mask, &attr_mask);
-        let cert = certify(&index, &[]);
+        let calls = CallGraph::from_file(&lexed.tokens, &syn, &test_mask, &attr_mask);
+        let index = TaintIndex::from_file(
+            "crates/core/src/d.rs",
+            &lexed,
+            &syn,
+            &test_mask,
+            &attr_mask,
+            &calls,
+        );
+        let cert = certify(&index, &calls, &[]);
         let report = &cert.entries["explain_batch"];
         assert!(report.present);
         assert_eq!(report.panic_sites_unisolated, 1);
@@ -1350,7 +1280,7 @@ mod tests {
         // JSON is stable and parseable-ish.
         let json = cert.render_json();
         assert!(json.contains("\"certified\": false"), "{json}");
-        assert_eq!(json, certify(&index, &[]).render_json());
+        assert_eq!(json, certify(&index, &calls, &[]).render_json());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::calls::CallGraph;
 use crate::flow::{FileFlow, FlowIndex};
 use crate::lexer::lex;
 use crate::rules::{check_deny_header, scan_source_indexed, FileClass, Finding, RuleKind};
@@ -73,21 +74,25 @@ pub fn needs_deny_header(rel: &str) -> bool {
 /// enum-order-independent total order, so output is byte-identical across
 /// runs and across refactors that reorder `RuleKind`.
 ///
-/// When any flow rule is requested the scan is **two-pass**: pass 1 builds
-/// the workspace-wide [`FlowIndex`] (call graph, lock-order pairs, budget
-/// summaries) from every library file, pass 2 runs the rules with that
-/// index so interprocedural facts cross file boundaries.
+/// When any flow or taint rule is requested the scan is **two-pass**: pass 1
+/// builds the workspace-wide [`CallGraph`] from every library file, and the
+/// [`FlowIndex`] (lock-order pairs, budget summaries) and [`TaintIndex`]
+/// over it; pass 2 runs the rules with those indexes so interprocedural
+/// facts cross file boundaries.
 pub fn scan_workspace(config: &ScanConfig) -> io::Result<Vec<Finding>> {
     scan_workspace_with_taint(config).map(|(findings, _)| findings)
 }
 
-/// [`scan_workspace`] that also hands back the workspace-wide
-/// [`TaintIndex`] (when any taint rule was requested), so callers like
-/// `--certify` can derive the certificate from the same pass-1 facts the
-/// findings came from.
+/// The workspace-wide [`TaintIndex`] and the [`CallGraph`] it was
+/// finalized over.
+pub type TaintFacts = (TaintIndex, CallGraph);
+
+/// [`scan_workspace`] that also hands back the [`TaintFacts`] (when any
+/// taint rule was requested), so callers like `--certify` can derive the
+/// certificate from the same pass-1 facts the findings came from.
 pub fn scan_workspace_with_taint(
     config: &ScanConfig,
-) -> io::Result<(Vec<Finding>, Option<TaintIndex>)> {
+) -> io::Result<(Vec<Finding>, Option<TaintFacts>)> {
     let mut files = Vec::new();
     collect_rs_files(&config.root, &config.root, &mut files)?;
     files.sort();
@@ -102,7 +107,8 @@ pub fn scan_workspace_with_taint(
     let needs_flow = config.rules.iter().any(|r| crate::rules::FLOW.contains(r));
     let needs_taint = config.rules.iter().any(|r| crate::rules::TAINT.contains(r));
 
-    let (flow_index, taint_index) = if needs_flow || needs_taint {
+    let (flow_index, taint) = if needs_flow || needs_taint {
+        let mut calls = CallGraph::default();
         let mut flow_index = needs_flow.then(FlowIndex::default);
         let mut taint_index = needs_taint.then(TaintIndex::default);
         for (rel, class, source) in &classified {
@@ -115,6 +121,7 @@ pub fn scan_workspace_with_taint(
             let lexed = lex(source);
             let syn = FileSyntax::analyze(&lexed.tokens);
             let (attr_mask, test_mask) = crate::rules::structure_masks(&lexed.tokens);
+            calls.add_file(&lexed.tokens, &syn, &test_mask, &attr_mask);
             if let Some(index) = flow_index.as_mut() {
                 let flow = FileFlow::analyze(&lexed.tokens, &syn, &test_mask);
                 index.add_file(rel, &flow);
@@ -124,12 +131,12 @@ pub fn scan_workspace_with_taint(
             }
         }
         if let Some(index) = flow_index.as_mut() {
-            index.finalize();
+            index.finalize(&calls);
         }
         if let Some(index) = taint_index.as_mut() {
-            index.finalize();
+            index.finalize(&calls);
         }
-        (flow_index, taint_index)
+        (flow_index, taint_index.map(|index| (index, calls)))
     } else {
         (None, None)
     };
@@ -142,7 +149,7 @@ pub fn scan_workspace_with_taint(
             *class,
             &config.rules,
             flow_index.as_ref(),
-            taint_index.as_ref(),
+            taint.as_ref().map(|(index, _)| index),
         ));
         if config.rules.contains(&RuleKind::DenyHeader) && needs_deny_header(rel) {
             findings.extend(check_deny_header(rel, source));
@@ -151,7 +158,7 @@ pub fn scan_workspace_with_taint(
     findings.sort_by(|a, b| {
         a.path.cmp(&b.path).then(a.line.cmp(&b.line)).then(a.rule.name().cmp(b.rule.name()))
     });
-    Ok((findings, taint_index))
+    Ok((findings, taint))
 }
 
 /// Recursively collect workspace-relative forward-slash paths of `.rs` files.

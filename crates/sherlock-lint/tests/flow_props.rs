@@ -11,7 +11,8 @@
 //! `use` trees.
 
 use proptest::prelude::*;
-use sherlock_lint::flow::{build_cfg, Cfg, FileFlow, FlowIndex};
+use sherlock_lint::calls::CallGraph;
+use sherlock_lint::flow::{build_cfg, Cfg};
 use sherlock_lint::lexer::lex;
 use sherlock_lint::syntax::FileSyntax;
 
@@ -200,16 +201,15 @@ proptest! {
         let lexed = lex(&source);
         let syn = FileSyntax::analyze(&lexed.tokens);
         let mask = vec![false; lexed.tokens.len()];
-        let flow = FileFlow::analyze(&lexed.tokens, &syn, &mask);
-        let index = FlowIndex::from_file("mem.rs", &flow);
-        let summary = index.summary("caller").expect("caller summary");
+        let calls = CallGraph::from_file(&lexed.tokens, &syn, &mask, &mask);
+        let callees: Vec<&str> = calls.callees("caller").map(|(c, _)| c).collect();
         for (orig, alias) in &named {
             prop_assert!(
-                summary.calls.contains(orig),
+                callees.contains(&orig.as_str()),
                 "call through {:?} did not resolve to {}; calls: {:?} (source {:?})",
                 alias.as_deref().unwrap_or(orig),
                 orig,
-                &summary.calls,
+                &callees,
                 &source
             );
         }

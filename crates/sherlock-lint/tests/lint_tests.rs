@@ -283,11 +283,12 @@ fn workspace_scan_output_is_deterministic() {
     let render = |findings: &[Finding]| -> String {
         findings.iter().map(|f| format!("{}\n{}\n", f.render(), f.render_github())).collect()
     };
-    let (first, index) = scan_workspace_with_taint(&config).expect("scan 1");
+    let (first, taint) = scan_workspace_with_taint(&config).expect("scan 1");
     let (second, _) = scan_workspace_with_taint(&config).expect("scan 2");
     assert_eq!(render(&first), render(&second));
     // Sanity: the scan actually visited the workspace's library code.
-    let cert = certify(&index.expect("full-rule scan builds the taint index"), &first);
+    let (index, calls) = taint.expect("full-rule scan builds the taint index");
+    let cert = certify(&index, &calls, &first);
     assert!(cert.entries.values().all(|e| e.present), "{:#?}", cert.entries);
 }
 

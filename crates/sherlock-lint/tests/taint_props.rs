@@ -12,6 +12,7 @@
 //! must never shrink any function's summary.
 
 use proptest::prelude::*;
+use sherlock_lint::calls::CallGraph;
 use sherlock_lint::lexer::lex;
 use sherlock_lint::syntax::FileSyntax;
 use sherlock_lint::taint::{TaintIndex, TaintSet, ADDRESS, CLOCK, HASH_ORDER, RNG, THREAD_ID};
@@ -104,11 +105,18 @@ fn render(specs: &[FnSpec]) -> String {
     out
 }
 
+fn graph_of(source: &str) -> CallGraph {
+    let lexed = lex(source);
+    let syn = FileSyntax::analyze(&lexed.tokens);
+    let mask = vec![false; lexed.tokens.len()];
+    CallGraph::from_file(&lexed.tokens, &syn, &mask, &mask)
+}
+
 fn index_of(source: &str) -> TaintIndex {
     let lexed = lex(source);
     let syn = FileSyntax::analyze(&lexed.tokens);
     let mask = vec![false; lexed.tokens.len()];
-    TaintIndex::from_file("gen.rs", &lexed, &syn, &mask, &mask)
+    TaintIndex::from_file("gen.rs", &lexed, &syn, &mask, &mask, &graph_of(source))
 }
 
 /// Independent fixed point over the spec (never looks at tokens).
@@ -166,7 +174,7 @@ proptest! {
                 i, got, want, &source);
             prop_assert_eq!(got & !TOP, 0);
         }
-        index.finalize();
+        index.finalize(&graph_of(&source));
         for (i, want) in expected.iter().enumerate() {
             prop_assert_eq!(index.returns(&format!("f{i}")), *want,
                 "finalize() is not idempotent on f{} (source {:?})", i, &source);

@@ -31,7 +31,7 @@ use dbsherlock_core::{
     CancelFlag, ExecPolicy, ModelRepository, ModelStore, Sherlock, SherlockError, SherlockParams,
     StoreReport,
 };
-use dbsherlock_telemetry::{parse_header_lossy, parse_line_lossy, IngestWarning};
+use dbsherlock_telemetry::{parse_header_lossy, parse_line_lossy, splitmix64, IngestWarning};
 
 use crate::protocol::{parse_command, quote, Command, Response};
 use crate::ring::{RingSnapshot, TenantRing};
@@ -703,14 +703,10 @@ pub const SAVE_ATTEMPTS: u32 = 3;
 /// shared storage in lockstep.
 const SAVE_BACKOFF_MS: u64 = 10;
 
-/// splitmix64-style deterministic jitter in `0..SAVE_BACKOFF_MS` ms (no
-/// unseeded RNG in daemon code).
+/// splitmix64 jitter in `0..SAVE_BACKOFF_MS` ms (no unseeded RNG in
+/// daemon code).
 fn backoff_jitter_ms(attempt: u32) -> u64 {
-    let mut x = 0x5AFE_D8A1_u64 ^ ((attempt as u64) << 32);
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (x ^ (x >> 31)) % SAVE_BACKOFF_MS
+    splitmix64(0x5AFE_D8A1_u64 ^ ((attempt as u64) << 32)) % SAVE_BACKOFF_MS
 }
 
 /// Save `repo` to `store` and verify the written generation by re-loading

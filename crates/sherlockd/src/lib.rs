@@ -49,6 +49,6 @@ pub use daemon::{
     save_with_backoff, Daemon, DaemonConfig, DaemonStats, DrainReport, LineOutcome, Session, Sink,
     SAVE_ATTEMPTS,
 };
-pub use net::{serve, serve_connection, writer_sink, LineReader, NetConfig, ReadEvent};
+pub use net::{serve, serve_session, writer_sink, LineReader, NetConfig, ReadEvent};
 pub use protocol::{parse_command, Command, Response};
 pub use ring::{RingRow, RingSnapshot, TenantRing};

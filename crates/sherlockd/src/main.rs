@@ -12,19 +12,17 @@
 //! exit. Exit code 0 means a clean drain with a verified store; 1 means the
 //! drain was forced or the store failed verification; 2 means bad usage.
 
-use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use dbsherlock_core::{ArgScan, ExecPolicy, SherlockParams};
-use dbsherlock_sherlockd::daemon::{Daemon, DaemonConfig, Session};
+use dbsherlock_sherlockd::daemon::{Daemon, DaemonConfig};
 use dbsherlock_sherlockd::net::{self, NetConfig};
-use dbsherlock_sherlockd::{LineOutcome, LineReader, ReadEvent, Response};
 
-/// Process-wide shutdown request flag, flipped by the signal handler.
+/// Process-wide shutdown request flag, flipped by the signal handler and
+/// polled by both transports' session loops and the accept loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// Minimal signal hookup without a `libc` dependency: std already links the
@@ -158,33 +156,17 @@ fn run(scan: &ArgScan<'_>) -> Result<bool, String> {
         daemon.config().ring_rows,
     );
 
-    let shutdown = Arc::new(AtomicBool::new(false));
     let mut conn_handles = Vec::new();
     if let Some(addr) = listen {
         let listener =
             TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
         eprintln!("sherlockd: listening on {addr}");
-        // The accept loop owns this thread; it polls SHUTDOWN via the
-        // shared flag mirrored below.
-        let mirror = Arc::clone(&shutdown);
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "the signal watcher only mirrors SHUTDOWN into the accept loop's flag"
-        )]
-        let watcher = std::thread::Builder::new()
-            .name("sherlockd-signals".to_string())
-            .spawn(move || {
-                while !SHUTDOWN.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                mirror.store(true, Ordering::SeqCst);
-            })
-            .map_err(|e| format!("cannot spawn signal watcher: {e}"))?;
-        conn_handles = net::serve(&daemon, listener, net_cfg, &shutdown);
-        let _ = watcher.join();
+        conn_handles = net::serve(&daemon, listener, net_cfg, &SHUTDOWN);
     } else {
-        serve_stdin(&daemon, &net_cfg);
-        shutdown.store(true, Ordering::SeqCst);
+        // `--idle-timeout-ms` closes silent connections. A stdin session
+        // lasts until EOF, `quit` or a signal, however long stdin is quiet.
+        let stdin_cfg = NetConfig { idle_timeout_ms: u64::MAX, ..net_cfg };
+        net::serve_session(&daemon, std::io::stdin(), std::io::stdout(), &stdin_cfg, &SHUTDOWN);
     }
 
     eprintln!("sherlockd: draining ({}ms grace)", daemon.config().drain_deadline_ms);
@@ -205,39 +187,4 @@ fn run(scan: &ArgScan<'_>) -> Result<bool, String> {
     let clean = report.clean && report.store_verified();
     eprintln!("sherlockd: drained ({})", if clean { "clean" } else { "forced" });
     Ok(clean)
-}
-
-/// One session over stdin/stdout, polled so SIGTERM still drains promptly.
-fn serve_stdin(daemon: &Arc<Daemon>, net_cfg: &NetConfig) {
-    let stdout = std::io::stdout();
-    let sink = dbsherlock_sherlockd::writer_sink(
-        stdout,
-        std::sync::Arc::clone(&daemon.stats.dropped_responses),
-    );
-    let mut session = Session::new(sink);
-    let mut reader = LineReader::new(std::io::stdin(), net_cfg.max_line_bytes);
-    loop {
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            return;
-        }
-        match reader.next_line() {
-            ReadEvent::Line(line) => {
-                if daemon.handle_line(&mut session, &line) == LineOutcome::Quit {
-                    return;
-                }
-            }
-            ReadEvent::Oversize { dropped } => {
-                (session.sink)(&Response::Error {
-                    code: "line-too-long",
-                    detail: format!("line exceeded cap ({dropped} bytes dropped)"),
-                });
-            }
-            // Blocking stdin read: WouldBlock only on exotic platforms.
-            ReadEvent::WouldBlock => std::thread::sleep(Duration::from_millis(10)),
-            ReadEvent::Eof => {
-                let _ = std::io::stdout().flush();
-                return;
-            }
-        }
-    }
 }

@@ -1,4 +1,5 @@
-//! TCP and stdin transports for the daemon.
+//! TCP and stdin transports for the daemon: one session loop
+//! ([`serve_session`]) over any reader and writer.
 //!
 //! Backpressure lives here: every connection reads through a **bounded**
 //! line accumulator ([`LineReader`]) with a read deadline, so a client that
@@ -42,8 +43,9 @@ impl Default for NetConfig {
 pub enum ReadEvent {
     /// A complete line (without its newline).
     Line(String),
-    /// No complete line yet; the read timed out (caller checks deadlines
-    /// and shutdown, then polls again).
+    /// No complete line yet: the read timed out, was interrupted, or
+    /// delivered only part of a line (caller checks deadlines and
+    /// shutdown, then polls again).
     WouldBlock,
     /// Peer closed the stream (any complete trailing data was already
     /// returned; a torn final fragment is discarded).
@@ -54,6 +56,10 @@ pub enum ReadEvent {
         dropped: usize,
     },
 }
+
+/// How long [`LineReader::next_line`] pauses after a read that found no
+/// data.
+const NO_DATA_PAUSE: Duration = Duration::from_millis(10);
 
 /// A bounded, deadline-friendly line accumulator over any [`Read`].
 ///
@@ -83,7 +89,9 @@ impl<R: Read> LineReader<R> {
     }
 
     /// Pull the next event. Blocks at most one underlying read (which the
-    /// transport bounds with a read timeout).
+    /// transport bounds with a read timeout). A read that finds no data
+    /// pauses 10 ms before reporting `WouldBlock`, so polling a
+    /// non-blocking source (stdin can inherit `O_NONBLOCK`) cannot spin.
     pub fn next_line(&mut self) -> ReadEvent {
         if let Some(event) = self.pending.pop_front() {
             return event;
@@ -103,6 +111,7 @@ impl<R: Read> LineReader<R> {
                 }
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                std::thread::sleep(NO_DATA_PAUSE);
                 ReadEvent::WouldBlock
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => ReadEvent::WouldBlock,
@@ -176,22 +185,25 @@ pub fn writer_sink<W: Write + Send + 'static>(writer: W, dropped: Arc<AtomicU64>
     })
 }
 
-/// Serve one established connection until quit, EOF, idle timeout, or
-/// daemon shutdown. Returns the number of lines handled.
-pub fn serve_connection(
+/// Serve one session, reading protocol lines from `source` and answering on
+/// `writer`, until quit, EOF, idle timeout, or daemon shutdown: the one
+/// session loop of both transports (a TCP connection, or stdin/stdout).
+/// Returns the number of lines handled.
+///
+/// The idle timeout is checked whenever a read ends without a complete
+/// line: a TCP read times out every `read_timeout_ms`, and a read that
+/// delivers only part of a line counts too, so a client that trickles
+/// bytes without a newline is cut off as surely as a silent one.
+pub fn serve_session<R: Read, W: Write + Send + 'static>(
     daemon: &Daemon,
-    stream: TcpStream,
+    source: R,
+    writer: W,
     cfg: &NetConfig,
     shutdown: &AtomicBool,
 ) -> usize {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(5_000)));
-    let sink = match stream.try_clone() {
-        Ok(writer) => writer_sink(writer, Arc::clone(&daemon.stats.dropped_responses)),
-        Err(_) => return 0,
-    };
-    let mut session = Session::new(sink);
-    let mut reader = LineReader::new(stream, cfg.max_line_bytes);
+    let mut session =
+        Session::new(writer_sink(writer, Arc::clone(&daemon.stats.dropped_responses)));
+    let mut reader = LineReader::new(source, cfg.max_line_bytes);
     let mut handled = 0usize;
     let idle = Duration::from_millis(cfg.idle_timeout_ms.max(1));
     let mut last_activity = Instant::now();
@@ -235,6 +247,16 @@ pub fn serve_connection(
     }
 }
 
+/// Serve one established TCP connection through [`serve_session`], with
+/// `cfg`'s read timeout and a 5 s write timeout on the socket.
+fn serve_connection(daemon: &Daemon, stream: TcpStream, cfg: &NetConfig, shutdown: &AtomicBool) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))));
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(5_000)));
+    if let Ok(writer) = stream.try_clone() {
+        serve_session(daemon, stream, writer, cfg, shutdown);
+    }
+}
+
 /// Accept loop: serve `listener` until `shutdown` flips, one thread per
 /// connection. Returns the handles of still-running connection threads at
 /// shutdown (they observe the flag within one read timeout).
@@ -242,7 +264,7 @@ pub fn serve(
     daemon: &Arc<Daemon>,
     listener: TcpListener,
     cfg: NetConfig,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &'static AtomicBool,
 ) -> Vec<JoinHandle<()>> {
     let _ = listener.set_nonblocking(true);
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
@@ -252,16 +274,13 @@ pub fn serve(
                 let _ = stream.set_nonblocking(false);
                 let daemon = Arc::clone(daemon);
                 let cfg = cfg.clone();
-                let shutdown = Arc::clone(shutdown);
                 #[allow(
                     clippy::disallowed_methods,
                     reason = "one thread per connection; it exits within a read timeout of shutdown"
                 )]
-                let spawned = std::thread::Builder::new().name("sherlockd-conn".to_string()).spawn(
-                    move || {
-                        serve_connection(&daemon, stream, &cfg, &shutdown);
-                    },
-                );
+                let spawned = std::thread::Builder::new()
+                    .name("sherlockd-conn".to_string())
+                    .spawn(move || serve_connection(&daemon, stream, &cfg, shutdown));
                 if let Ok(handle) = spawned {
                     handles.push(handle);
                 }
@@ -315,6 +334,24 @@ mod tests {
             }
         }
         assert!(saw_oversize);
+    }
+
+    #[test]
+    fn line_reader_pauses_when_the_source_has_no_data() {
+        // A non-blocking source answers EAGAIN at once; without the pause
+        // a session loop polling it would spin a CPU until input arrives.
+        struct Dry;
+        impl Read for Dry {
+            fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
+                Err(ErrorKind::WouldBlock.into())
+            }
+        }
+        let mut reader = LineReader::new(Dry, 64);
+        let start = Instant::now();
+        for _ in 0..3 {
+            assert_eq!(reader.next_line(), ReadEvent::WouldBlock);
+        }
+        assert!(start.elapsed() >= 3 * NO_DATA_PAUSE, "{:?}", start.elapsed());
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! garbage, skewed clocks, mid-stream disconnects) never crash the daemon;
 //! and drain-under-load leaves a checksum-verified model store behind.
 //! In process, one simulator stream played into two fresh daemons gets the
-//! same answers from both.
+//! same answers from both, and one session gets the same answers over TCP
+//! and over the binary's stdin.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -40,28 +42,34 @@ fn scratch_dir() -> std::path::PathBuf {
 struct Harness {
     daemon: Arc<Daemon>,
     addr: std::net::SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: &'static AtomicBool,
     accept_thread: std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 fn start(cfg: DaemonConfig) -> Harness {
+    start_with(
+        cfg,
+        NetConfig { max_line_bytes: 4096, read_timeout_ms: 25, idle_timeout_ms: 10_000 },
+    )
+}
+
+fn start_with(cfg: DaemonConfig, net_cfg: NetConfig) -> Harness {
     let (daemon, warnings) = Daemon::new(cfg).unwrap();
     assert!(warnings.is_empty(), "{warnings:?}");
     let daemon = Arc::new(daemon);
     let workers = daemon.spawn_workers();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let net_cfg = NetConfig { max_line_bytes: 4096, read_timeout_ms: 25, idle_timeout_ms: 10_000 };
+    // `serve` polls a process-lifetime flag, as sherlockd's signal flag is.
+    let shutdown: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
     let accept_daemon = Arc::clone(&daemon);
-    let accept_shutdown = Arc::clone(&shutdown);
     #[allow(
         clippy::disallowed_methods,
         reason = "the test runs the accept loop on its own thread, as sherlockd does"
     )]
     let accept_thread =
-        std::thread::spawn(move || net::serve(&accept_daemon, listener, net_cfg, &accept_shutdown));
+        std::thread::spawn(move || net::serve(&accept_daemon, listener, net_cfg, shutdown));
     Harness { daemon, addr, shutdown, accept_thread, workers }
 }
 
@@ -345,6 +353,49 @@ fn play_in_blocks(
     std::fs::remove_dir_all(&dir).ok();
     let responses = responses.lock().unwrap().clone();
     (responses, report)
+}
+
+/// Both transports run one session loop, so one session gets the same
+/// answers over TCP and over `sherlockd --stdin`: a valid tenant stream, a
+/// line over the cap, then `quit`.
+#[test]
+fn tcp_and_stdin_answer_one_session_alike() {
+    const CAP: usize = 256;
+    let mut lines = tenant_stream("same", 8, 0..0);
+    lines.push("x".repeat(3 * CAP));
+    lines.push("quit".to_string());
+    // Under one pipe buffer, so each transport reads the session whole.
+    let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    assert!(input.len() < 4096);
+
+    // The binary's defaults: a serial engine, the workers are the parallelism.
+    let cfg = DaemonConfig {
+        params: SherlockParams::default().with_exec(ExecPolicy::Serial),
+        ..DaemonConfig::default()
+    };
+    let net_cfg = NetConfig { max_line_bytes: CAP, ..NetConfig::default() };
+    let harness = start_with(cfg, net_cfg);
+    let mut stream = TcpStream::connect(harness.addr).unwrap();
+    stream.write_all(input.as_bytes()).unwrap();
+    let mut tcp = String::new();
+    stream.read_to_string(&mut tcp).unwrap();
+    assert!(harness.stop().clean);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sherlockd"))
+        .args(["--stdin", "--max-line-bytes", &CAP.to_string()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(input.as_bytes()).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{:?}", out.status);
+    let stdin = String::from_utf8(out.stdout).unwrap();
+
+    assert!(tcp.contains("error code=line-too-long detail=\"line exceeded 256 bytes"), "{tcp}");
+    assert!(tcp.ends_with("bye\n"), "{tcp}");
+    assert_eq!(tcp, stdin);
 }
 
 /// The timing-free half of perfbench `stream`'s check, in one tenant: a

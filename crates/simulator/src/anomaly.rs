@@ -113,11 +113,13 @@ impl AnomalyKind {
     }
 }
 
-/// One injected anomaly occurrence within a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Injection {
+/// One injected anomaly occurrence over `[start, start + duration)` ticks:
+/// an [`AnomalyKind`] on one node, or a [`crate::ClusterAnomalyKind`] on a
+/// cluster ([`crate::ClusterInjection`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Injection<K = AnomalyKind> {
     /// Which anomaly.
-    pub kind: AnomalyKind,
+    pub kind: K,
     /// First affected tick (seconds from scenario start).
     pub start: usize,
     /// Number of affected ticks.
@@ -126,15 +128,26 @@ pub struct Injection {
     pub intensity: f64,
 }
 
-impl Injection {
+impl<K> Injection<K> {
     /// Injection with default intensity.
-    pub fn new(kind: AnomalyKind, start: usize, duration: usize) -> Self {
+    pub fn new(kind: K, start: usize, duration: usize) -> Self {
         Injection { kind, start, duration, intensity: 1.0 }
+    }
+
+    /// Same injection at a different severity.
+    pub fn with_intensity(mut self, intensity: f64) -> Self {
+        self.intensity = intensity;
+        self
     }
 
     /// Is `tick` inside this injection's window?
     pub fn active_at(&self, tick: usize) -> bool {
         tick >= self.start && tick < self.start + self.duration
+    }
+
+    /// The window's rows, clipped to a dataset of `n_rows`.
+    pub(crate) fn clipped_window(&self, n_rows: usize) -> std::ops::Range<usize> {
+        self.start.min(n_rows)..(self.start + self.duration).min(n_rows)
     }
 }
 

@@ -23,15 +23,16 @@
 //! still produce bit-identical streams — the same contract the diagnosis
 //! engine's exec layer keeps, and the determinism proptests assert.
 
-use dbsherlock_core::{par_map_indexed, ExecPolicy, SherlockError};
-use dbsherlock_telemetry::{AttributeMeta, Dataset, Region, Schema, Value};
+use dbsherlock_core::{try_par_map_indexed, ExecPolicy, SherlockError};
+use dbsherlock_telemetry::{splitmix64, AttributeMeta, Dataset, Schema, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::anomaly::Perturbation;
+use crate::anomaly::{Injection, Perturbation};
 use crate::config::{ServerConfig, WorkloadConfig};
 use crate::engine::{Engine, TickOutput};
 use crate::metrics::metrics_schema;
 use crate::noise::NoiseModel;
+use crate::scenario::LabeledDataset;
 
 /// Most nodes a merged schema supports: beyond this the attribute count
 /// (≈ 77 per node) stops being a telemetry stream and starts being a
@@ -198,38 +199,10 @@ impl std::fmt::Display for ClusterAnomalyKind {
 }
 
 /// One injected cluster anomaly over `[start, start + duration)` ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClusterInjection {
-    /// Which anomaly.
-    pub kind: ClusterAnomalyKind,
-    /// First affected tick (relative to recording start).
-    pub start: usize,
-    /// Length of the fault window, ticks.
-    pub duration: usize,
-    /// Severity multiplier (1.0 = the calibrated default).
-    pub intensity: f64,
-}
-
-impl ClusterInjection {
-    /// An injection at default intensity.
-    pub fn new(kind: ClusterAnomalyKind, start: usize, duration: usize) -> Self {
-        ClusterInjection { kind, start, duration, intensity: 1.0 }
-    }
-
-    /// Same injection at a different severity.
-    pub fn with_intensity(mut self, intensity: f64) -> Self {
-        self.intensity = intensity;
-        self
-    }
-
-    /// Is `tick` inside the fault window?
-    pub fn active_at(&self, tick: usize) -> bool {
-        tick >= self.start && tick < self.start + self.duration
-    }
-}
+pub type ClusterInjection = Injection<ClusterAnomalyKind>;
 
 /// A reproducible multi-node experiment description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterScenario {
     /// Cluster shape and total workload.
     pub config: ClusterConfig,
@@ -243,18 +216,9 @@ pub struct ClusterScenario {
     pub seed: u64,
 }
 
-/// splitmix64 finalizer: cheap, seedable, well-mixed — used for per-node
-/// seed derivation and sub-millisecond deterministic jitter.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Deterministic jitter in `[0, span)` from a mixing key.
 fn jitter(key: u64, span: f64) -> f64 {
-    (mix64(key) >> 11) as f64 / (1u64 << 53) as f64 * span
+    (splitmix64(key) >> 11) as f64 / (1u64 << 53) as f64 * span
 }
 
 /// Immutable per-tick cluster directive, computed before any node steps.
@@ -344,7 +308,8 @@ impl ClusterScenario {
         self.run_with(NoiseModel::default(), policy)
     }
 
-    /// Run with a custom noise model and exec policy.
+    /// Run with a custom noise model and exec policy. A panic while
+    /// stepping a node comes back as [`SherlockError::TaskPanicked`].
     pub fn run_with(
         &self,
         noise: NoiseModel,
@@ -354,8 +319,11 @@ impl ClusterScenario {
         let n = self.config.n_nodes;
         let schedule = self.coordination();
         let nodes: Vec<usize> = (0..n).collect();
-        let traces: Vec<Vec<TickOutput>> =
-            par_map_indexed(policy, &nodes, |_, &node| self.run_node(node, &schedule, noise));
+        let traces = try_par_map_indexed(policy, "node", &nodes, |_, &node| {
+            Ok(self.run_node(node, &schedule, noise))
+        })
+        .into_iter()
+        .collect::<Result<Vec<Vec<TickOutput>>, _>>()?;
         self.assemble(&schedule, &traces)
     }
 
@@ -466,7 +434,7 @@ impl ClusterScenario {
         schedule: &[ClusterTick],
         noise: NoiseModel,
     ) -> Vec<TickOutput> {
-        let node_seed = mix64(self.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let node_seed = splitmix64(self.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let workload = self.config.node_workload();
         let mut engine =
             Engine::new(self.config.server.clone(), workload.clone(), noise, node_seed);
@@ -639,54 +607,9 @@ pub fn cluster_metrics_schema(n_nodes: usize) -> Result<Schema, SherlockError> {
     Ok(merged)
 }
 
-/// A merged cluster dataset plus its ground-truth anomaly labels
-/// (the multi-node sibling of [`crate::LabeledDataset`]).
-#[derive(Debug, Clone)]
-pub struct ClusterLabeledDataset {
-    /// The merged, node-namespaced aligned telemetry.
-    pub data: Dataset,
-    /// The injections that produced it.
-    pub injections: Vec<ClusterInjection>,
-}
-
-impl ClusterLabeledDataset {
-    /// Union of all injected anomaly windows, clipped to the dataset.
-    pub fn abnormal_region(&self) -> Region {
-        let n = self.data.n_rows();
-        Region::from_ranges(
-            self.injections.iter().map(|inj| inj.start.min(n)..(inj.start + inj.duration).min(n)),
-        )
-    }
-
-    /// The window of one anomaly kind, if injected.
-    pub fn region_of(&self, kind: ClusterAnomalyKind) -> Option<Region> {
-        let n = self.data.n_rows();
-        let ranges: Vec<_> = self
-            .injections
-            .iter()
-            .filter(|inj| inj.kind == kind)
-            .map(|inj| inj.start.min(n)..(inj.start + inj.duration).min(n))
-            .collect();
-        if ranges.is_empty() {
-            None
-        } else {
-            Some(Region::from_ranges(ranges))
-        }
-    }
-
-    /// Everything not abnormal.
-    pub fn normal_region(&self) -> Region {
-        self.abnormal_region().complement(self.data.n_rows())
-    }
-
-    /// Distinct anomaly kinds present, in catalog order.
-    pub fn kinds(&self) -> Vec<ClusterAnomalyKind> {
-        let mut kinds: Vec<ClusterAnomalyKind> = self.injections.iter().map(|i| i.kind).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        kinds
-    }
-}
+/// A merged, node-namespaced cluster dataset plus its ground-truth anomaly
+/// labels.
+pub type ClusterLabeledDataset = LabeledDataset<ClusterAnomalyKind>;
 
 /// Window lengths the cluster matrix varies over (a reduced version of the
 /// single-node [`crate::VARIATIONS`] — cluster runs cost `n_nodes` engine
@@ -710,7 +633,7 @@ pub fn standard_cluster_scenario(
     let vary = CLUSTER_VARIATIONS[slot];
     let (start, duration) = if kind.duration_controllable() { (60, vary) } else { (vary, 40) };
     let kind_idx = ClusterAnomalyKind::ALL.iter().position(|&k| k == kind).unwrap_or(0);
-    let seed = mix64(
+    let seed = splitmix64(
         corpus_seed
             .wrapping_mul(0xD1B5_4A32_D192_ED03)
             .wrapping_add((kind_idx as u64) * 131)
@@ -728,6 +651,7 @@ pub fn standard_cluster_scenario(
 mod tests {
     use super::*;
     use crate::config::WorkloadConfig;
+    use dbsherlock_telemetry::Region;
 
     fn quick_config() -> ClusterConfig {
         let mut workload = WorkloadConfig::tpcc_default();

@@ -9,6 +9,7 @@
 //! * **Long corpus** (App. E): ten-minute normal runs so automatic
 //!   detection has a dominant normal mass to contrast against.
 
+use dbsherlock_telemetry::splitmix64;
 use serde::{Deserialize, Serialize};
 
 use crate::anomaly::{AnomalyKind, Injection};
@@ -65,14 +66,11 @@ fn entry_seed(corpus_seed: u64, kind: AnomalyKind, variant: usize) -> u64 {
 /// on other instances of the same cause — the regime in which the paper's
 /// model merging (§6.2) pays off.
 pub fn cell_intensity(corpus_seed: u64, kind: AnomalyKind, variant: usize) -> f64 {
-    // splitmix64-style finalizer: entry_seed only varies in its low bits
-    // across cells, so mix before taking high bits.
-    let mut h = entry_seed(corpus_seed ^ 0x51DE, kind, variant);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58476D1CE4E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D049BB133111EB);
-    h ^= h >> 31;
+    // entry_seed only varies in its low bits across cells, so mix before
+    // taking high bits: the splitmix64 finalizer alone, without its
+    // golden-ratio increment.
+    let seed = entry_seed(corpus_seed ^ 0x51DE, kind, variant);
+    let h = splitmix64(seed.wrapping_sub(0x9E37_79B9_7F4A_7C15));
     0.7 + 0.6 * ((h >> 16) % 1000) as f64 / 1000.0
 }
 

@@ -9,7 +9,6 @@ use dbsherlock_telemetry::faults::{CorruptionReport, FaultPlan};
 use dbsherlock_telemetry::{
     repair_alignment, Dataset, IngestWarning, Region, RepairOptions, Result, Value,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::anomaly::{AnomalyKind, Injection, Perturbation};
 use crate::config::{ServerConfig, WorkloadConfig};
@@ -18,7 +17,7 @@ use crate::metrics::metrics_schema;
 use crate::noise::NoiseModel;
 
 /// A complete, reproducible experiment description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Server hardware/configuration.
     pub server: ServerConfig,
@@ -101,32 +100,31 @@ impl Scenario {
     }
 }
 
-/// A dataset plus its ground-truth anomaly labels.
+/// A dataset plus its ground-truth anomaly labels: single-node telemetry,
+/// or a merged cluster trace ([`crate::ClusterLabeledDataset`]).
 #[derive(Debug, Clone)]
-pub struct LabeledDataset {
+pub struct LabeledDataset<K = AnomalyKind> {
     /// The aligned telemetry.
     pub data: Dataset,
     /// The injections that produced it.
-    pub injections: Vec<Injection>,
+    pub injections: Vec<Injection<K>>,
 }
 
-impl LabeledDataset {
+impl<K: Copy + Ord> LabeledDataset<K> {
     /// Union of all injected anomaly windows, clipped to the dataset.
     pub fn abnormal_region(&self) -> Region {
         let n = self.data.n_rows();
-        Region::from_ranges(
-            self.injections.iter().map(|inj| inj.start.min(n)..(inj.start + inj.duration).min(n)),
-        )
+        Region::from_ranges(self.injections.iter().map(|inj| inj.clipped_window(n)))
     }
 
     /// The window of one anomaly kind, if injected.
-    pub fn region_of(&self, kind: AnomalyKind) -> Option<Region> {
+    pub fn region_of(&self, kind: K) -> Option<Region> {
         let n = self.data.n_rows();
         let ranges: Vec<_> = self
             .injections
             .iter()
             .filter(|inj| inj.kind == kind)
-            .map(|inj| inj.start.min(n)..(inj.start + inj.duration).min(n))
+            .map(|inj| inj.clipped_window(n))
             .collect();
         if ranges.is_empty() {
             None
@@ -140,14 +138,16 @@ impl LabeledDataset {
         self.abnormal_region().complement(self.data.n_rows())
     }
 
-    /// Distinct anomaly kinds present, in Table 1 order.
-    pub fn kinds(&self) -> Vec<AnomalyKind> {
-        let mut kinds: Vec<AnomalyKind> = self.injections.iter().map(|i| i.kind).collect();
+    /// Distinct anomaly kinds present, in catalog (Table 1) order.
+    pub fn kinds(&self) -> Vec<K> {
+        let mut kinds: Vec<K> = self.injections.iter().map(|i| i.kind).collect();
         kinds.sort_unstable();
         kinds.dedup();
         kinds
     }
+}
 
+impl LabeledDataset {
     /// Run this dataset's telemetry through a fault plan and the lossy
     /// ingestion + alignment-repair pipeline, producing the degraded trace
     /// an operator would actually have on a misbehaving collector.

@@ -102,6 +102,9 @@ impl Schema {
 
     /// Append one attribute; errors on duplicate names.
     pub fn push(&mut self, attr: AttributeMeta) -> Result<usize> {
+        if attr.name.contains('\n') {
+            return Err(TelemetryError::LineBreak(attr.name));
+        }
         if self.index.contains_key(&attr.name) {
             return Err(TelemetryError::DuplicateAttribute(attr.name.clone()));
         }

@@ -211,7 +211,11 @@ pub fn parse_header_lossy(header: &str, warnings: &mut Vec<IngestWarning>) -> Re
         };
         let mut attempt = name.clone();
         let mut suffix = 1usize;
-        while schema.push(AttributeMeta { name: attempt.clone(), kind }).is_err() {
+        // Retry only a duplicate name; any other rejection is final.
+        while let Err(err) = schema.push(AttributeMeta { name: attempt.clone(), kind }) {
+            if !matches!(err, TelemetryError::DuplicateAttribute(_)) {
+                return Err(err);
+            }
             suffix += 1;
             attempt = format!("{name}_dup{suffix}");
             if suffix == 2 {
@@ -587,6 +591,15 @@ mod tests {
         assert_eq!(d.schema().len(), 2);
         assert!(warnings.iter().any(|w| matches!(w, IngestWarning::HeaderDrift { .. })));
         assert_eq!(d.numeric(1).unwrap(), &[2.0]);
+    }
+
+    #[test]
+    fn lossy_header_rejects_a_line_break_instead_of_renaming_it() {
+        // Only a duplicate name is retried under a new suffix; a name the
+        // schema rejects for another reason must end the header, not loop.
+        let mut warnings = Vec::new();
+        let result = parse_header_lossy("timestamp,a\nb:num", &mut warnings);
+        assert!(matches!(result, Err(TelemetryError::LineBreak(name)) if name == "a\nb"));
     }
 
     /// The splitter as it was first written: one char at a time, one

@@ -137,6 +137,9 @@ impl Dataset {
     /// Intern `label` in the dictionary of categorical attribute `attr_id`,
     /// returning a [`Value::Cat`] suitable for [`push_row`](Self::push_row).
     pub fn intern(&mut self, attr_id: usize, label: &str) -> Result<Value> {
+        if label.contains('\n') {
+            return Err(TelemetryError::LineBreak(label.to_string()));
+        }
         match self.columns.get_mut(attr_id) {
             Some(Column::Categorical { dict, .. }) => Ok(Value::Cat(dict.intern(label))),
             _ => Err(not_of_kind(&self.schema, attr_id, "categorical")),

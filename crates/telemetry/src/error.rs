@@ -39,6 +39,9 @@ pub enum TelemetryError {
     Empty(&'static str),
     /// A duplicate attribute name was added to a schema.
     DuplicateAttribute(String),
+    /// An attribute name or categorical label contains a line break, which
+    /// the line-oriented CSV format (and sherlockd's protocol) cannot carry.
+    LineBreak(String),
 }
 
 impl fmt::Display for TelemetryError {
@@ -63,6 +66,7 @@ impl fmt::Display for TelemetryError {
             TelemetryError::DuplicateAttribute(name) => {
                 write!(f, "duplicate attribute name: {name:?}")
             }
+            TelemetryError::LineBreak(text) => write!(f, "line break in {text:?}"),
         }
     }
 }

@@ -236,21 +236,35 @@ impl fmt::Display for CorruptionReport {
 // Internal PRNG (no external dependency)
 // ---------------------------------------------------------------------------
 
+/// splitmix64's golden-ratio increment.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One splitmix64 step from state `x`: add the golden-ratio increment, then
+/// finalize. The workspace's one seed mixer — fault plans, cluster node
+/// seeds and jitter, intervention trial seeds and the daemon's save-backoff
+/// jitter all derive from it.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The splitmix64 generator: [`splitmix64`] over a counter stepped by the
+/// golden-ratio increment.
 struct SplitMix {
     state: u64,
 }
 
 impl SplitMix {
     fn new(seed: u64) -> Self {
-        SplitMix { state: seed ^ 0x9e3779b97f4a7c15 }
+        SplitMix { state: seed ^ GOLDEN_GAMMA }
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        out
     }
 
     /// Uniform in [0, 1).

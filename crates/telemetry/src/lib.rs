@@ -63,7 +63,7 @@ pub use csv::{
 };
 pub use dataset::{Column, Dataset};
 pub use error::{IngestWarning, Result, TelemetryError};
-pub use faults::{CorruptionEvent, CorruptionReport, FaultKind, FaultPlan, FaultSpec};
+pub use faults::{splitmix64, CorruptionEvent, CorruptionReport, FaultKind, FaultPlan, FaultSpec};
 pub use plot::{render as render_plot, PlotOptions};
 pub use region::Region;
 pub use value::{Dictionary, Value};

@@ -446,6 +446,49 @@ fn scalar_and_columnar_agree_on_degenerate_regions() {
     );
 }
 
+/// One fixed case beside the proptest's random ones, larger than its
+/// 100 rows: 240 rows by 6 numeric attributes (a level shift on the first,
+/// noise on the rest, NaN on every 13th row of the second) plus a
+/// categorical `state`, explained by an engine holding the fed-back model
+/// and an empty "red herring" model. The columnar path equals the scalar
+/// shim, predicates and every confidence, at `Serial` and `Threads(2)`.
+#[test]
+fn columnar_path_equals_scalar_shim_on_a_fixed_case() {
+    let (rows, attrs) = (240, 6);
+    let mut metas: Vec<AttributeMeta> =
+        (0..attrs).map(|k| AttributeMeta::numeric(format!("m{k}"))).collect();
+    metas.push(AttributeMeta::categorical("state"));
+    let mut d = Dataset::new(Schema::from_attrs(metas).unwrap());
+    let abnormal_rows = rows / 3..rows / 3 + rows / 5;
+    for i in 0..rows {
+        let abnormal = abnormal_rows.contains(&i);
+        let mut values: Vec<Value> = (0..attrs)
+            .map(|k| {
+                let jitter = ((i * 31 + k * 17) % 97) as f64 * 0.11;
+                Value::Num(match k {
+                    0 if abnormal => 80.0 + jitter,
+                    0 => 10.0 + jitter,
+                    1 if i % 13 == 0 => f64::NAN,
+                    _ => ((i * 7 + k * 13) % 89) as f64,
+                })
+            })
+            .collect();
+        values.push(d.intern(attrs, if abnormal { "bad" } else { "ok" }).unwrap());
+        d.push_row(i as f64, &values).unwrap();
+    }
+    let abnormal = Region::from_range(abnormal_rows);
+    for exec in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
+        let mut sherlock = Sherlock::new(SherlockParams::default().with_exec(exec));
+        let seed = sherlock.explain(&d, &abnormal, None);
+        sherlock.feedback("injected shift", &seed.predicates);
+        sherlock.feedback("red herring", &[]);
+        let columnar = sherlock.try_explain(&d, &abnormal, None).unwrap();
+        let scalar = sherlock.explain_scalar(&d, &abnormal, None).unwrap();
+        assert_eq!(columnar.all_causes.len(), 2, "{exec}");
+        assert_eq!(observe(&columnar), observe(&scalar), "{exec}");
+    }
+}
+
 #[test]
 fn explain_batch_preserves_input_order() {
     // Distinguishable cases: each dataset shifts at a different row, so the
